@@ -13,8 +13,13 @@
 //!   overflow tier and the self-tuning re-layout.
 //!
 //! Each run pushes the prepared population and drains it dry ("sort"
-//! mode), plus a steady-state hold/churn phase (pop one, push one at a
-//! later time) at the 1M size. Every phase runs a *fixed* number of
+//! mode), plus two steady-state hold phases (pop one, push one at a
+//! later time): **churn** at the 1M size, and **sparse_tick** — the
+//! shape a platform run spends most of its pops in: a ring sized for
+//! the whole trace at the default 1 ms width, only a couple of hundred
+//! events pending (all but one of them minutes away), and a 1 s policy tick
+//! that re-arms itself on every pop and so keeps the ring from ever
+//! draining dry and re-tuning. Every phase runs a *fixed* number of
 //! repetitions so the per-phase totals in `BENCH_queue.json` are
 //! comparable across runs — the CI perf job diffs them with
 //! `bench_compare` like the grid baselines.
@@ -36,7 +41,7 @@ use std::time::Instant;
 
 use faasmem_bench::json::JsonValue;
 use faasmem_bench::render_table;
-use faasmem_sim::{EventQueue, ReferenceEventQueue, SimRng, SimTime};
+use faasmem_sim::{EventQueue, ReferenceEventQueue, SimDuration, SimRng, SimTime};
 use faasmem_telemetry::profiler;
 
 /// Minimum calendar-vs-heap throughput ratio `--check-speedup` enforces
@@ -59,6 +64,24 @@ const CHURN_OPS: usize = 1 << 20;
 
 /// Events resident during the churn phase.
 const CHURN_HOLD: usize = 64 * 1024;
+
+/// Pops per sparse-tick repetition.
+const SPARSE_OPS: usize = 1 << 18;
+
+/// Ring capacity the sparse-tick queue is created with (1024 buckets,
+/// as `with_capacity` lays out for a trace of this many events).
+const SPARSE_CAPACITY: usize = 1024;
+
+/// Far events pending during the sparse-tick phase, besides the tick:
+/// enough that the ring never shrinks (at least an eighth of the
+/// buckets), far too few to fill it.
+const SPARSE_HOLD: usize = 160;
+
+/// The policy tick period of the sparse-tick phase.
+const TICK_US: u64 = 1_000_000;
+
+/// Payload of the sparse-tick phase's self-re-arming policy tick.
+const TICK: u32 = u32::MAX;
 
 struct Options {
     out_dir: PathBuf,
@@ -217,46 +240,61 @@ fn churn_deltas() -> Vec<u64> {
         .collect()
 }
 
-fn calendar_churn(deltas: &[u64], phase: &'static str) -> f64 {
-    let mut q: EventQueue<u32> = EventQueue::with_capacity(CHURN_HOLD);
-    for i in 0..CHURN_HOLD {
-        q.push(
-            SimTime::from_micros((i / BURST) as u64 * BURST_STEP_US),
-            i as u32,
-        );
+/// Re-arm delays for the sparse-tick phase's far events: 1 min to
+/// 1 h, like keep-alive deadlines and the trace's later arrivals — all
+/// past the ring horizon. Precomputed so both queues replay the
+/// identical script.
+fn sparse_deltas() -> Vec<u64> {
+    let mut rng = SimRng::seed_from(0x5EA5_71C4);
+    (0..SPARSE_OPS)
+        .map(|_| 60_000_000 + rng.below(3_540_000_000))
+        .collect()
+}
+
+/// A hold phase through either queue: seeds `initial`, then pops one
+/// event and pushes it back per delay. The tick (payload [`TICK`])
+/// re-arms [`TICK_US`] later instead of taking the delay. Returns pops
+/// per second.
+fn hold<Q>(
+    mut q: Q,
+    initial: impl Iterator<Item = (SimTime, u32)>,
+    deltas: &[u64],
+    phase: &'static str,
+    push: impl Fn(&mut Q, SimTime, u32),
+    pop: impl Fn(&mut Q) -> Option<(SimTime, u32)>,
+) -> f64 {
+    for (at, ev) in initial {
+        push(&mut q, at, ev);
     }
     let start = Instant::now();
     {
         let _guard = profiler::enter(phase);
         for &d in deltas {
-            let (at, ev) = q.pop().expect("hold population never drains");
-            q.push(at + faasmem_sim::SimDuration::from_micros(d), ev);
+            let (at, ev) = pop(&mut q).expect("hold population never drains");
+            let delay = if ev == TICK { TICK_US } else { d };
+            push(&mut q, at + SimDuration::from_micros(delay), ev);
         }
     }
     let rate = deltas.len() as f64 / start.elapsed().as_secs_f64();
-    black_box(q.len());
+    black_box(pop(&mut q));
     rate
 }
 
-fn heap_churn(deltas: &[u64], phase: &'static str) -> f64 {
-    let mut q: ReferenceEventQueue<u32> = ReferenceEventQueue::with_capacity(CHURN_HOLD);
-    for i in 0..CHURN_HOLD {
-        q.push(
-            SimTime::from_micros((i / BURST) as u64 * BURST_STEP_US),
-            i as u32,
-        );
-    }
-    let start = Instant::now();
-    {
-        let _guard = profiler::enter(phase);
-        for &d in deltas {
-            let (at, ev) = q.pop().expect("hold population never drains");
-            q.push(at + faasmem_sim::SimDuration::from_micros(d), ev);
-        }
-    }
-    let rate = deltas.len() as f64 / start.elapsed().as_secs_f64();
-    black_box(q.len());
-    rate
+/// The churn phase's resident population: [`CHURN_HOLD`] events in
+/// clustered bursts.
+fn churn_initial() -> impl Iterator<Item = (SimTime, u32)> {
+    (0..CHURN_HOLD).map(|i| {
+        let at = SimTime::from_micros((i / BURST) as u64 * BURST_STEP_US);
+        (at, i as u32)
+    })
+}
+
+/// The sparse-tick phase's resident population: [`SPARSE_HOLD`] far
+/// events at the first delays, plus the tick.
+fn sparse_initial(deltas: &[u64]) -> impl Iterator<Item = (SimTime, u32)> + '_ {
+    let far = deltas.iter().take(SPARSE_HOLD).zip(0..);
+    far.map(|(&d, i)| (SimTime::from_micros(d), i))
+        .chain([(SimTime::from_micros(TICK_US), TICK)])
 }
 
 fn fmt_rate(events_per_sec: f64) -> String {
@@ -359,11 +397,50 @@ fn main() {
     }
 
     let deltas = churn_deltas();
-    let cal = calendar_churn(&deltas, "cal_churn_1m");
-    let heap = heap_churn(&deltas, "heap_churn_1m");
+    let cal = hold(
+        EventQueue::with_capacity(CHURN_HOLD),
+        churn_initial(),
+        &deltas,
+        "cal_churn_1m",
+        EventQueue::push,
+        EventQueue::pop,
+    );
+    let heap = hold(
+        ReferenceEventQueue::with_capacity(CHURN_HOLD),
+        churn_initial(),
+        &deltas,
+        "heap_churn_1m",
+        ReferenceEventQueue::push,
+        ReferenceEventQueue::pop,
+    );
     rows.push(vec![
         "churn (hold 64k)".to_string(),
         size_label(CHURN_OPS),
+        fmt_rate(cal),
+        fmt_rate(heap),
+        format!("{:.1}x", cal / heap),
+    ]);
+
+    let deltas = sparse_deltas();
+    let cal = hold(
+        EventQueue::with_capacity(SPARSE_CAPACITY),
+        sparse_initial(&deltas),
+        &deltas,
+        "cal_sparse_tick",
+        EventQueue::push,
+        EventQueue::pop,
+    );
+    let heap = hold(
+        ReferenceEventQueue::with_capacity(SPARSE_CAPACITY),
+        sparse_initial(&deltas),
+        &deltas,
+        "heap_sparse_tick",
+        ReferenceEventQueue::push,
+        ReferenceEventQueue::pop,
+    );
+    rows.push(vec![
+        format!("sparse_tick (hold {})", SPARSE_HOLD + 1),
+        size_label(SPARSE_OPS),
         fmt_rate(cal),
         fmt_rate(heap),
         format!("{:.1}x", cal / heap),

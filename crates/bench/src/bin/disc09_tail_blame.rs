@@ -164,6 +164,7 @@ fn main() {
                 let blame = outcome
                     .summary
                     .blame
+                    .as_deref()
                     .expect("blame enabled in every config");
                 cells += 1;
                 violations += blame.conservation_violations;
@@ -198,6 +199,7 @@ fn main() {
         run.outcome("high-bursty", "bert", &label, PolicyKind::FaasMem.name())
             .summary
             .blame
+            .as_deref()
             .expect("blame enabled")
             .tail_share(component)
     };

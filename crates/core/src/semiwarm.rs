@@ -37,7 +37,10 @@ use crate::config::SemiWarmConfig;
 #[derive(Debug, Clone)]
 pub struct SemiWarm {
     config: SemiWarmConfig,
-    intervals: HashMap<FunctionId, Vec<f64>>,
+    /// Each function's reuse intervals, kept sorted as they arrive so a
+    /// maintenance tick's timing query is an index lookup, not a copy
+    /// and re-sort of the whole history.
+    intervals: HashMap<FunctionId, Cdf>,
 }
 
 impl SemiWarm {
@@ -59,12 +62,12 @@ impl SemiWarm {
         self.intervals
             .entry(function)
             .or_default()
-            .push(interval.as_secs_f64());
+            .insert(interval.as_secs_f64());
     }
 
     /// Number of reuse samples gathered for `function`.
     pub fn samples_for(&self, function: FunctionId) -> usize {
-        self.intervals.get(&function).map_or(0, Vec::len)
+        self.intervals.get(&function).map_or(0, Cdf::len)
     }
 
     /// The semi-warm start timing for `function`: the configured
@@ -72,8 +75,7 @@ impl SemiWarm {
     /// else the configured default.
     pub fn start_timing(&self, function: FunctionId) -> SimDuration {
         match self.intervals.get(&function) {
-            Some(samples) if samples.len() >= self.config.min_samples => {
-                let cdf = Cdf::from_samples(samples.iter().copied());
+            Some(cdf) if cdf.len() >= self.config.min_samples => {
                 let secs = cdf
                     .quantile(self.config.start_percentile)
                     .expect("non-empty sample set");
@@ -209,6 +211,59 @@ mod tests {
         }
         assert!(!sw.should_be_semi_warm(f, SimDuration::from_secs(9)));
         assert!(sw.should_be_semi_warm(f, SimDuration::from_secs(10)));
+    }
+
+    #[test]
+    fn incremental_timing_matches_batch_cdf_oracle() {
+        // Random reuse streams over two functions, drawn from a small
+        // value set so duplicates are common, with a share of censored
+        // cold-start gaps pinned at the cap the policy clamps them to.
+        // After every record the timing must equal the batch CDF over
+        // the whole history, on both sides of `min_samples`.
+        let censor_cap = SemiWarmConfig::default().cold_start_censor_cap;
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for (percentile, min_samples) in [(0.99, 5), (0.5, 1), (0.95, 12), (1.0, 3)] {
+            let config = SemiWarmConfig {
+                start_percentile: percentile,
+                min_samples,
+                ..config()
+            };
+            let mut sw = SemiWarm::new(config.clone());
+            let mut history: [Vec<f64>; 2] = [Vec::new(), Vec::new()];
+            for _ in 0..400 {
+                let r = next();
+                let f = (r & 1) as usize;
+                let interval = match (r >> 1) % 8 {
+                    0 => censor_cap,
+                    1 => SimDuration::ZERO,
+                    _ => SimDuration::from_millis((r >> 8) % 40 * 250),
+                };
+                sw.record_reuse_interval(FunctionId(f as u32), interval);
+                history[f].push(interval.as_secs_f64());
+                for (g, samples) in history.iter().enumerate() {
+                    let expected = if samples.len() >= min_samples {
+                        let cdf = Cdf::from_samples(samples.iter().copied());
+                        SimDuration::from_secs_f64(cdf.quantile(percentile).unwrap())
+                    } else {
+                        config.default_start
+                    };
+                    let id = FunctionId(g as u32);
+                    assert_eq!(sw.samples_for(id), samples.len());
+                    assert_eq!(
+                        sw.start_timing(id),
+                        expected,
+                        "p={percentile}, n={}",
+                        samples.len()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -241,7 +241,7 @@ impl RunReport {
             sim_secs: self.finished_at.as_secs_f64(),
             faults: self.faults,
             durability: self.durability,
-            blame: self.blame,
+            blame: self.blame.map(Box::new),
             memory_anatomy: self.memory_anatomy,
         }
     }
@@ -348,7 +348,9 @@ impl FaultReport {
 /// The flat digest of a [`RunReport`]: every headline metric of the
 /// paper's evaluation as plain data, cheap to clone and to move across
 /// threads — the unit the experiment harness aggregates and serializes.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// The large, rarely enabled blame block is boxed, so summaries without
+/// it stay small; everything else is inline.
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunSummary {
     /// Policy under test.
     pub policy: &'static str,
@@ -384,7 +386,7 @@ pub struct RunSummary {
     /// Durability accounting; `None` when the pool fabric is degenerate.
     pub durability: Option<DurabilityReport>,
     /// Latency-blame digest; `None` unless blame was enabled.
-    pub blame: Option<BlameReport>,
+    pub blame: Option<Box<BlameReport>>,
     /// Byte-second memory anatomy; `None` unless anatomy was enabled.
     pub memory_anatomy: Option<MemoryAnatomyReport>,
 }

@@ -29,6 +29,18 @@ impl Cdf {
         Cdf { sorted }
     }
 
+    /// Adds one sample, keeping the samples sorted: a binary search
+    /// plus one shift, so a CDF that grows one observation at a time
+    /// never re-sorts its history. The sample lands after any equal
+    /// ones, so the result equals [`Cdf::from_samples`] over all the
+    /// samples in arrival order. A non-finite sample is discarded.
+    pub fn insert(&mut self, sample: f64) {
+        if sample.is_finite() {
+            let at = self.sorted.partition_point(|&v| v <= sample);
+            self.sorted.insert(at, sample);
+        }
+    }
+
     /// Number of samples behind the CDF.
     pub fn len(&self) -> usize {
         self.sorted.len()
@@ -200,6 +212,34 @@ mod tests {
         assert!(pts.len() <= 52);
         assert_eq!(pts.last().unwrap().1, 1.0);
         assert!(pts.windows(2).all(|w| w[0].0 <= w[1].0 && w[0].1 <= w[1].1));
+    }
+
+    #[test]
+    fn insert_matches_from_samples() {
+        // Duplicates, signed zeros, non-finite values and out-of-order
+        // arrivals: the incrementally built CDF must equal the batch one
+        // sample for sample, not just in its quantiles.
+        let samples = [
+            3.0,
+            1.0,
+            f64::NAN,
+            3.0,
+            0.0,
+            -0.0,
+            2.5,
+            f64::INFINITY,
+            1.0,
+            0.0,
+            7.0,
+            -0.0,
+        ];
+        let mut cdf = Cdf::default();
+        for (i, &v) in samples.iter().enumerate() {
+            cdf.insert(v);
+            let batch = Cdf::from_samples(samples[..=i].iter().copied());
+            let bits = |c: &Cdf| c.sorted.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&cdf), bits(&batch), "after {} samples", i + 1);
+        }
     }
 
     proptest::proptest! {

@@ -10,13 +10,22 @@
 //! parallel discrete-event engines reach for once the classic binary
 //! heap becomes the bottleneck: a ring of time buckets, each spanning a
 //! fixed width of simulated time, plus a sorted overflow tier for
-//! events past the ring horizon (policy ticks, fault plans). A push is
-//! an O(1) append onto its bucket; a pop drains the cursor bucket in
-//! `(time, seq)` order, sorting each bucket lazily at drain time — and
-//! skipping even that when events arrived already ordered, the common
-//! case for trace seeding and same-instant groups. The bucket width
-//! self-tunes from the observed event span, re-laid out exactly like a
-//! hash-table rehash (geometric growth, amortized O(1) per event).
+//! events past the ring horizon (keep-alive deadlines, later trace
+//! arrivals, fault plans). A push is an O(1) append onto its bucket; a
+//! pop drains the cursor bucket in `(time, seq)` order, sorting each
+//! bucket lazily at drain time — and skipping even that when events
+//! arrived already ordered, the common case for trace seeding and
+//! same-instant groups. The bucket width self-tunes from the observed
+//! event span, re-laid out exactly like a hash-table rehash (geometric
+//! growth, amortized O(1) per event).
+//!
+//! A one-bit-per-bucket occupancy bitmap lets the cursor jump straight
+//! to the next nonempty bucket with `trailing_zeros` instead of walking
+//! the empty ones between. Sparse stretches are the common case, not
+//! the exception: a platform run pre-sizes the ring for its whole
+//! trace at the default 1 ms width, and its self-rescheduling 1 s
+//! policy tick keeps the ring from ever draining dry and re-tuning, so
+//! consecutive events sit hundreds of empty buckets apart.
 //!
 //! None of the geometry is observable: the pop order is the total
 //! `(time, seq)` order regardless of width or bucket count, pinned
@@ -146,8 +155,14 @@ pub struct EventQueue<E> {
     /// The bucket ring. `buckets[cursor]` covers `[ring_start,
     /// ring_start + width)`; each step ahead covers the next width.
     buckets: Vec<Bucket<E>>,
+    /// One bit per ring bucket, set exactly when the bucket holds
+    /// events: the cursor's jump table.
+    occupied: Vec<u64>,
     /// Ring index of the current (earliest) bucket.
     cursor: usize,
+    /// Cursor moves so far, each a jump over any run of empty buckets
+    /// (introspection, like [`EventQueue::bucket_count`]).
+    cursor_steps: u64,
     /// Inclusive lower bound of the cursor bucket, in microseconds.
     /// Events pushed before it (a "past push" after drains) clamp into
     /// the cursor bucket, where the drain sort delivers them first.
@@ -189,7 +204,9 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             buckets: (0..MIN_BUCKETS).map(|_| Bucket::new()).collect(),
+            occupied: vec![0; MIN_BUCKETS.div_ceil(64)],
             cursor: 0,
+            cursor_steps: 0,
             ring_start: 0,
             width: INITIAL_WIDTH_US,
             ring_len: 0,
@@ -226,7 +243,36 @@ impl<E> EventQueue<E> {
         }
         let offset = ((at_us - self.ring_start) / self.width) as usize;
         debug_assert!(offset < self.buckets.len(), "event past the ring horizon");
-        (self.cursor + offset) % self.buckets.len()
+        // The bucket count is always a power of two.
+        (self.cursor + offset) & (self.buckets.len() - 1)
+    }
+
+    /// Flags bucket `idx` as holding events.
+    #[inline]
+    fn mark_occupied(occupied: &mut [u64], idx: usize) {
+        occupied[idx / 64] |= 1 << (idx % 64);
+    }
+
+    /// Ring distance (1 to bucket count − 1) from the cursor to the
+    /// next occupied bucket; the ring must hold an event outside the
+    /// cursor bucket. Reads at most one word more than the bitmap has:
+    /// the first word again, for the bits below the start.
+    fn next_occupied_distance(&self) -> usize {
+        let mask = self.buckets.len() - 1;
+        let start = (self.cursor + 1) & mask;
+        let words = self.occupied.len();
+        let mut w = start / 64;
+        let mut bits = self.occupied[w] & (!0u64 << (start % 64));
+        for _ in 0..words {
+            if bits != 0 {
+                break;
+            }
+            w = (w + 1) % words;
+            bits = self.occupied[w];
+        }
+        debug_assert!(bits != 0, "the ring holds an event");
+        let idx = w * 64 + bits.trailing_zeros() as usize;
+        idx.wrapping_sub(self.cursor) & mask
     }
 
     /// Routes one scheduled event to its bucket or the overflow tier.
@@ -248,6 +294,7 @@ impl<E> EventQueue<E> {
         } else {
             let idx = self.bucket_index(at_us);
             self.buckets[idx].push(ev);
+            Self::mark_occupied(&mut self.occupied, idx);
             self.ring_len += 1;
         }
     }
@@ -297,6 +344,8 @@ impl<E> EventQueue<E> {
         let buckets = hint.next_power_of_two().clamp(MIN_BUCKETS, MAX_BUCKETS);
         // Resize in place: surviving buckets keep their capacity.
         self.buckets.resize_with(buckets, Bucket::new);
+        self.occupied.clear();
+        self.occupied.resize(buckets.div_ceil(64), 0);
         self.cursor = 0;
 
         let min = pending.iter().map(|e| e.at.as_micros()).min();
@@ -323,14 +372,23 @@ impl<E> EventQueue<E> {
         self.scratch = pending;
     }
 
-    /// Steps the cursor one bucket forward (the current one is empty)
-    /// and promotes any overflow events the grown horizon caught up
-    /// to, preserving the "overflow is entirely past the ring"
-    /// invariant that makes the cursor bucket's minimum global.
+    /// Moves the cursor off its empty bucket straight to the next
+    /// occupied one, `k` buckets on, and promotes any overflow events
+    /// the grown horizon caught up to, preserving the "overflow is
+    /// entirely past the ring" invariant that makes the cursor bucket's
+    /// minimum global. The one jump leaves the queue exactly as `k`
+    /// single steps would: every overflow event lies at or past the old
+    /// horizon, so promotion lands it past the new cursor bucket, and
+    /// nothing it brings in can precede the ring event found there.
     fn advance_cursor(&mut self) {
         debug_assert!(self.buckets[self.cursor].events.is_empty());
-        self.cursor = (self.cursor + 1) % self.buckets.len();
-        self.ring_start = self.ring_start.saturating_add(self.width);
+        let k = self.next_occupied_distance();
+        self.cursor = (self.cursor + k) & (self.buckets.len() - 1);
+        debug_assert!(!self.buckets[self.cursor].events.is_empty());
+        self.ring_start = self
+            .ring_start
+            .saturating_add(self.width.saturating_mul(k as u64));
+        self.cursor_steps += 1;
         if self
             .overflow_min
             .is_some_and(|(at, _)| u128::from(at.as_micros()) < self.horizon())
@@ -362,9 +420,10 @@ impl<E> EventQueue<E> {
             let idx = if at_us < ring_start {
                 cursor
             } else {
-                (cursor + ((at_us - ring_start) / width) as usize) % n
+                (cursor + ((at_us - ring_start) / width) as usize) & (n - 1)
             };
             self.buckets[idx].push(ev);
+            Self::mark_occupied(&mut self.occupied, idx);
             self.ring_len += 1;
         }
         self.overflow_min = self.overflow.last().map(ScheduledEvent::key);
@@ -486,6 +545,9 @@ impl<E> EventQueue<E> {
                     count += 1;
                 }
             }
+            if count > 0 {
+                Self::mark_occupied(&mut self.occupied, idx);
+            }
             self.ring_len += count;
         }
         self.maybe_grow();
@@ -541,6 +603,7 @@ impl<E> EventQueue<E> {
         let ev = bucket.events.pop().expect("prepared bucket is nonempty");
         if bucket.events.is_empty() {
             bucket.order = BucketOrder::Ascending;
+            self.occupied[self.cursor / 64] &= !(1 << (self.cursor % 64));
         }
         self.ring_len -= 1;
         self.pops_since_rebuild += 1;
@@ -585,6 +648,7 @@ impl<E> EventQueue<E> {
             bucket.events.clear();
             bucket.order = BucketOrder::Ascending;
         }
+        self.occupied.fill(0);
         self.overflow.clear();
         self.overflow_sorted = true;
         self.overflow_min = None;
@@ -596,6 +660,14 @@ impl<E> EventQueue<E> {
     /// order).
     pub fn bucket_count(&self) -> usize {
         self.buckets.len()
+    }
+
+    /// Cursor moves since the queue was created — one per jump over a
+    /// run of empty buckets, however long (introspection, like
+    /// [`EventQueue::bucket_count`]; deterministic for a given op
+    /// sequence).
+    pub fn cursor_steps(&self) -> u64 {
+        self.cursor_steps
     }
 
     /// Current bucket width in microseconds (introspection, like
@@ -865,6 +937,179 @@ mod tests {
         assert_eq!(n, 1000);
     }
 
+    #[test]
+    fn cursor_jumps_over_empty_buckets_in_one_step() {
+        // Fresh geometry: 16 buckets of 1 ms. Events in the first and
+        // last bucket leave 14 empty buckets between them.
+        let mut q = EventQueue::new();
+        assert_eq!((q.bucket_count(), q.bucket_width_micros()), (16, 1_000));
+        q.push(SimTime::ZERO, 'a');
+        q.push(SimTime::from_micros(15_500), 'b');
+        assert_eq!(q.pop(), Some((SimTime::ZERO, 'a')));
+        assert_eq!(q.cursor_steps(), 0);
+        assert_eq!(q.pop(), Some((SimTime::from_micros(15_500), 'b')));
+        assert_eq!(q.cursor_steps(), 1, "one jump, not 15 single steps");
+    }
+
+    #[test]
+    fn cursor_jump_wraps_the_ring_and_promotes_overflow() {
+        let mut q = EventQueue::new();
+        let ms = SimTime::from_millis;
+        q.push(ms(0), 0);
+        q.push(ms(12), 12);
+        // Past the 16 ms horizon: overflow.
+        q.push(ms(17), 17);
+        q.push(ms(60), 60);
+        assert_eq!(q.overflow_len(), 2);
+        assert_eq!(q.pop(), Some((ms(0), 0)));
+        // Jump 12 buckets; the horizon moves to 28 ms and promotes the
+        // 17 ms event into ring index (12 + 5) mod 16 = 1, behind the
+        // cursor.
+        assert_eq!(q.pop(), Some((ms(12), 12)));
+        assert_eq!(q.overflow_len(), 1);
+        // A push that also wraps, then the jump across the ring's end.
+        q.push(ms(26), 26);
+        assert_eq!(q.pop(), Some((ms(17), 17)));
+        assert_eq!(q.pop(), Some((ms(26), 26)));
+        assert_eq!(q.cursor_steps(), 3);
+        // Only the overflow tier is left (the horizon reached 42 ms): an
+        // empty-ring re-layout, not a jump.
+        assert_eq!(q.overflow_len(), 1);
+        assert_eq!(q.pop(), Some((ms(60), 60)));
+        assert_eq!(q.cursor_steps(), 3);
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn sparse_tick_schedule_costs_at_most_two_steps_per_pop() {
+        // A bursty seeded trace tunes the width far below the 1 s tick,
+        // so between bursts each pop faces a long run of empty buckets.
+        // The first pass is cut short by a `clear` with events still
+        // pending; the second reuses the queue from where it stopped.
+        let mut q: EventQueue<u32> = EventQueue::new();
+        let mut r: ReferenceEventQueue<u32> = ReferenceEventQueue::new();
+        let (mut pops, mut now) = (0u64, 0u64);
+        for pass in 0..2 {
+            if pass == 1 {
+                assert!(!q.is_empty());
+                q.clear();
+                r.clear();
+            }
+            seed_bursty_trace(&mut q, &mut r, now);
+            assert!(
+                q.bucket_width_micros() * 8 < TICK_US,
+                "width {} µs is not tuned to the invocation gaps",
+                q.bucket_width_micros()
+            );
+            let mut invokes_left = BURSTS * BURST_LEN / (2 - pass);
+            while invokes_left > 0 {
+                let ev = q.pop_scheduled().expect("an invocation is pending");
+                let expected = r.pop_scheduled().expect("the reference holds it too");
+                assert_eq!(
+                    (ev.at, ev.seq, ev.event),
+                    (expected.at, expected.seq, expected.event)
+                );
+                pops += 1;
+                now = ev.at.as_micros();
+                match ev.event {
+                    TICK => push_both(&mut q, &mut r, now + TICK_US, TICK),
+                    DONE => {}
+                    _ => {
+                        invokes_left -= 1;
+                        push_both(&mut q, &mut r, now + 5_000, DONE);
+                    }
+                }
+            }
+        }
+        assert!(pops > u64::from(BURSTS * BURST_LEN));
+        assert!(
+            q.cursor_steps() <= 2 * pops,
+            "{} cursor steps for {pops} pops",
+            q.cursor_steps()
+        );
+    }
+
+    /// Payload of the self-rescheduling policy tick in the sparse
+    /// schedules.
+    const TICK: u32 = u32::MAX;
+    /// Payload of an invocation's completion in the sparse schedules.
+    const DONE: u32 = u32::MAX - 1;
+    /// The policy tick period.
+    const TICK_US: u64 = 1_000_000;
+    const BURSTS: u32 = 4;
+    const BURST_LEN: u32 = 100;
+
+    fn push_both(q: &mut EventQueue<u32>, r: &mut ReferenceEventQueue<u32>, at_us: u64, e: u32) {
+        q.push(SimTime::from_micros(at_us), e);
+        r.push(SimTime::from_micros(at_us), e);
+    }
+
+    /// Seeds both queues with a bursty invocation trace starting at
+    /// `origin_us` — bursts of invocations 10 µs apart, 5 s between
+    /// bursts — plus the first 1 s tick.
+    fn seed_bursty_trace(
+        q: &mut EventQueue<u32>,
+        r: &mut ReferenceEventQueue<u32>,
+        origin_us: u64,
+    ) {
+        for b in 0..BURSTS {
+            for i in 0..BURST_LEN {
+                let at = origin_us + u64::from(b) * 5_000_000 + u64::from(i) * 10;
+                push_both(q, r, at, b * BURST_LEN + i);
+            }
+        }
+        push_both(q, r, origin_us + TICK_US, TICK);
+    }
+
+    /// Drives an op script over the sparse shape the platform runs
+    /// between bursts, against both queues: a bursty seed, a 1 s tick
+    /// that re-arms whenever it pops, and scripted pushes ahead of the
+    /// last pop — within a few seconds (far apart against the tuned
+    /// width) or up to 200 s (the overflow tier) — plus pops, peeks
+    /// and the occasional `clear` followed by reuse.
+    fn run_sparse_tick_script(ops: &[(u8, u64, u32)]) {
+        let mut q: EventQueue<u32> = EventQueue::new();
+        let mut r: ReferenceEventQueue<u32> = ReferenceEventQueue::new();
+        seed_bursty_trace(&mut q, &mut r, 0);
+        let mut now = 0;
+        for &(kind, t, payload) in ops {
+            match kind % 5 {
+                0 | 1 => {
+                    let ahead = if kind & 0x80 == 0 { t % 5_000_000 } else { t };
+                    push_both(&mut q, &mut r, now + ahead, payload);
+                }
+                2 | 3 => {
+                    let a = q.pop_scheduled().map(|e| (e.at, e.seq, e.event));
+                    let b = r.pop_scheduled().map(|e| (e.at, e.seq, e.event));
+                    assert_eq!(a, b);
+                    if let Some((at, _, e)) = a {
+                        now = at.as_micros();
+                        if e == TICK {
+                            push_both(&mut q, &mut r, now + TICK_US, TICK);
+                        }
+                    }
+                }
+                _ if kind < 20 => {
+                    q.clear();
+                    r.clear();
+                    push_both(&mut q, &mut r, now + TICK_US, TICK);
+                }
+                _ => {
+                    assert_eq!(q.peek_time(), r.peek_time());
+                    assert_eq!(q.len(), r.len());
+                }
+            }
+        }
+        loop {
+            let a = q.pop_scheduled().map(|e| (e.at, e.seq, e.event));
+            let b = r.pop_scheduled().map(|e| (e.at, e.seq, e.event));
+            assert_eq!(a, b);
+            if a.is_none() {
+                break;
+            }
+        }
+    }
+
     /// One scripted op against both the calendar queue and the retired
     /// heap, asserting identical observable behavior.
     fn apply_op(
@@ -959,6 +1204,16 @@ mod tests {
                 .collect();
             run_oracle_script(&ops);
         }
+        for case in 0..300 {
+            let len = 40 + (case % 400) as usize;
+            let ops: Vec<(u8, u64, u32)> = (0..len)
+                .map(|_| {
+                    let r = next();
+                    ((r >> 8) as u8, r % 200_000_000, (r >> 16) as u32 % 1_000)
+                })
+                .collect();
+            run_sparse_tick_script(&ops);
+        }
     }
 
     proptest::proptest! {
@@ -974,6 +1229,7 @@ mod tests {
             )
         ) {
             run_oracle_script(&ops);
+            run_sparse_tick_script(&ops);
         }
 
         #[test]

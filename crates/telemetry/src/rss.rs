@@ -52,8 +52,14 @@ mod tests {
     #[cfg(target_os = "linux")]
     #[test]
     fn linux_reports_positive_peak() {
-        let peak = peak_rss_kb().expect("VmHWM present on Linux");
-        assert!(peak > 0);
-        assert!(peak >= current_rss_kb().unwrap_or(0));
+        assert!(peak_rss_kb().expect("VmHWM present on Linux") > 0);
+        assert!(current_rss_kb().expect("VmRSS present on Linux") > 0);
+        // Both fields from one snapshot: two separate reads race the
+        // test harness's own allocations, and RSS can pass a peak read
+        // a moment earlier.
+        let status = std::fs::read_to_string("/proc/self/status").expect("procfs");
+        let peak = parse_status_kb(&status, "VmHWM:").expect("VmHWM");
+        let current = parse_status_kb(&status, "VmRSS:").expect("VmRSS");
+        assert!(peak >= current, "VmHWM {peak} kB < VmRSS {current} kB");
     }
 }
