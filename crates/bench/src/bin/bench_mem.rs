@@ -4,6 +4,10 @@
 //! access-bit scans, aging walks, offload/page-in sweeps — at several
 //! table sizes, and races the 256k-page scan against the naive
 //! per-page [`ReferencePageTable`] walk the bitmap layout replaced.
+//! Two phases follow the simulator's own per-request and per-tick
+//! shapes: `request_touch` plans and touches one BERT request (4 KiB
+//! pages, ~101k-page hot prefix plus ~7k sampled extras), and
+//! `drain_budget` empties a 256k-page table in semi-warm-sized budgets.
 //!
 //! ```text
 //! cargo run --release -p faasmem-bench --bin bench_mem -- \
@@ -24,8 +28,13 @@ use std::time::Instant;
 
 use faasmem_bench::json::JsonValue;
 use faasmem_bench::render_table;
-use faasmem_mem::{PageId, PageRange, PageTable, ReferencePageTable, Segment, PAGE_SIZE_4K};
+use faasmem_faas::{Container, ContainerId, FunctionId};
+use faasmem_mem::{
+    mib_to_pages, PageId, PageRange, PageTable, ReferencePageTable, Segment, PAGE_SIZE_4K,
+};
+use faasmem_sim::{SimRng, SimTime};
 use faasmem_telemetry::profiler;
+use faasmem_workload::{BenchmarkSpec, RequestAccess};
 
 /// Minimum bitmap-vs-reference scan-throughput ratio `--check-speedup`
 /// enforces (measured at 256k pages).
@@ -47,6 +56,14 @@ const SIZES: [(u32, u32, u32, u32); 3] = [
 
 /// Fixed repetitions of the naive reference scan at 256k pages.
 const NAIVE_REPS: u32 = 160;
+
+/// Fixed BERT requests the `request_touch` phase plans and touches.
+const REQUEST_REPS: u32 = 2000;
+
+/// Pages one `drain_budget` tick collects and offloads, and the fixed
+/// number of full drains of the 256k-page table.
+const DRAIN_BUDGET: usize = 2048;
+const DRAIN_REPS: u32 = 40;
 
 struct Options {
     out_dir: PathBuf,
@@ -170,6 +187,95 @@ fn bitmap_offload_page_in(pages: u32, reps: u32, phase: &'static str) -> f64 {
     window.len() as f64 * 2.0 * reps as f64 / start.elapsed().as_secs_f64()
 }
 
+/// Pages touched per second by BERT-shaped requests: each rep plans
+/// one request (hot prefix + sampled extras, rare runtime touch) and
+/// touches its runtime and init pages, as the platform does.
+fn request_touch(reps: u32, phase: &'static str) -> f64 {
+    let spec = BenchmarkSpec::by_name("bert").expect("catalog");
+    let exec_pages = mib_to_pages(spec.exec_mib, PAGE_SIZE_4K) as u32;
+    let mut container = Container::new(
+        ContainerId(0),
+        FunctionId(0),
+        spec.clone(),
+        PAGE_SIZE_4K,
+        SimTime::ZERO,
+    );
+    container.finish_launch();
+    container.finish_init();
+    let runtime = container.runtime_range();
+    let init = container.init_range();
+    let mut rng = SimRng::seed_from(13);
+    let mut touched = 0u64;
+    let start = Instant::now();
+    {
+        let _guard = profiler::enter(phase);
+        for _ in 0..reps {
+            let plan = RequestAccess::plan_with_rare_runtime(
+                spec.init_access,
+                container.runtime_hot_pages(),
+                runtime.len(),
+                spec.runtime_rare_touch_prob,
+                init.len(),
+                exec_pages,
+                &mut rng,
+            );
+            let table = container.table_mut();
+            let r = &plan.runtime;
+            touched += u64::from(
+                table
+                    .touch_prefix_and_extras(runtime.start(), r.prefix(), r.extras())
+                    .touched,
+            );
+            let i = &plan.init;
+            touched += u64::from(
+                table
+                    .touch_prefix_and_extras(init.start(), i.prefix(), i.extras())
+                    .touched,
+            );
+        }
+    }
+    touched as f64 / start.elapsed().as_secs_f64()
+}
+
+/// Pages drained per second by budgeted semi-warm ticks: each tick
+/// collects at most [`DRAIN_BUDGET`] inactive-then-hot-pool pages and
+/// offloads them, until the table is empty; then everything pages back
+/// in for the next rep.
+fn drain_budget(pages: u32, reps: u32, phase: &'static str) -> f64 {
+    let mut table = PageTable::new(PAGE_SIZE_4K);
+    let runtime = table.alloc(Segment::Runtime, pages / 2);
+    let barrier = table.create_generation().0;
+    let init = table.alloc(Segment::Init, pages - pages / 2);
+    let mut id = runtime.start().0;
+    while id < init.end().0 {
+        table.set_in_hot_pool(PageId(id), true);
+        id += HOT_STRIDE as u32;
+    }
+    let all = PageRange::new(runtime.start(), pages);
+    let mut ids: Vec<PageId> = Vec::with_capacity(DRAIN_BUDGET);
+    let mut moved = 0u64;
+    let start = Instant::now();
+    {
+        let _guard = profiler::enter(phase);
+        for _ in 0..reps {
+            loop {
+                ids.clear();
+                table.append_inactive_in_gen_range(0, barrier, &mut ids, DRAIN_BUDGET);
+                let left = DRAIN_BUDGET - ids.len();
+                table.append_inactive_in_gen_range(barrier, u32::MAX, &mut ids, left);
+                let left = DRAIN_BUDGET - ids.len();
+                table.append_hot_pool_local(&mut ids, left);
+                if ids.is_empty() {
+                    break;
+                }
+                moved += u64::from(table.offload_pages(ids.iter().copied()));
+            }
+            table.page_in_range(all);
+        }
+    }
+    moved as f64 / start.elapsed().as_secs_f64()
+}
+
 fn fmt_throughput(pages_per_sec: f64) -> String {
     format!("{:.0} Mpages/s", pages_per_sec / 1e6)
 }
@@ -268,6 +374,14 @@ fn main() {
         )
     );
     println!("\nbitmap scan speedup over naive reference at 256k pages: {speedup:.1}x");
+
+    let touch = request_touch(REQUEST_REPS, "request_touch");
+    let drain = drain_budget(262_144, DRAIN_REPS, "drain_budget");
+    println!("bert request plan+touch: {}", fmt_throughput(touch));
+    println!(
+        "budgeted drain ({DRAIN_BUDGET} pages/tick, 256k pages): {}",
+        fmt_throughput(drain)
+    );
 
     profiler::set_enabled(false);
     let phases = profiler::take_report();

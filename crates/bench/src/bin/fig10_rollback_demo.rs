@@ -49,14 +49,12 @@ fn main() {
             0,
             rng,
         );
-        let runtime_base = runtime.start().0;
-        let init_base = init.start().0;
-        table.touch_pages(
-            plan.runtime
-                .iter()
-                .map(|i| faasmem_mem::PageId(runtime_base + i)),
+        table.touch_prefix_and_extras(
+            runtime.start(),
+            plan.runtime.prefix(),
+            plan.runtime.extras(),
         );
-        table.touch_pages(plan.init.iter().map(|i| faasmem_mem::PageId(init_base + i)));
+        table.touch_prefix_and_extras(init.start(), plan.init.prefix(), plan.init.extras());
         puckets.promote_accessed(table);
     };
 

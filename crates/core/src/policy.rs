@@ -141,7 +141,7 @@ impl FaasMemPolicy {
         for &kind in kinds {
             state
                 .puckets
-                .append_inactive_pages(ctx.container.table(), kind, ids);
+                .append_inactive_pages(ctx.container.table(), kind, ids, usize::MAX);
         }
         ctx.offload_pages(ids)
     }
@@ -360,23 +360,23 @@ impl MemoryPolicy for FaasMemPolicy {
             return;
         }
         // Drain coldest-first: Pucket inactive lists, then the hot pool,
-        // then (when Puckets are disabled) any remaining local page.
+        // then (when Puckets are disabled) any remaining local page —
+        // collecting no more than the budget.
         let state = self.containers.get(&id).expect("state exists");
         let table = ctx.container.table();
-        self.scratch_ids.clear();
+        let ids = &mut self.scratch_ids;
+        let budget = budget as usize;
+        ids.clear();
         if self.config.enable_pucket {
-            state
-                .puckets
-                .append_inactive_pages(table, PucketKind::Runtime, &mut self.scratch_ids);
-            state
-                .puckets
-                .append_inactive_pages(table, PucketKind::Init, &mut self.scratch_ids);
-            table.append_hot_pool_local(&mut self.scratch_ids);
+            for kind in [PucketKind::Runtime, PucketKind::Init] {
+                let left = budget - ids.len();
+                state.puckets.append_inactive_pages(table, kind, ids, left);
+            }
+            table.append_hot_pool_local(ids, budget - ids.len());
         } else {
-            table.append_local(&mut self.scratch_ids);
+            table.append_local(ids, budget);
         }
-        self.scratch_ids.truncate(budget as usize);
-        let moved = ctx.offload_pages(&self.scratch_ids);
+        let moved = ctx.offload_pages(ids);
         if moved > 0 {
             let bytes = u64::from(moved) * page_size;
             self.containers

@@ -161,20 +161,23 @@ impl Puckets {
     /// not currently in the hot page pool — the offloading candidates.
     pub fn inactive_pages(&self, table: &PageTable, kind: PucketKind) -> Vec<PageId> {
         let mut out = Vec::new();
-        self.append_inactive_pages(table, kind, &mut out);
+        self.append_inactive_pages(table, kind, &mut out, usize::MAX);
         out
     }
 
-    /// Appends one Pucket's inactive list to `out` (no clear), ascending
-    /// — the allocation-free path the semi-warm reclamation tick uses.
+    /// Appends one Pucket's inactive list to `out` (no clear), ascending,
+    /// stopping after `limit` ids (`usize::MAX`: all) — the
+    /// allocation-free path the offload paths use; the semi-warm drain
+    /// passes its page budget so it stops walking once the budget is met.
     pub fn append_inactive_pages(
         &self,
         table: &PageTable,
         kind: PucketKind,
         out: &mut Vec<PageId>,
+        limit: usize,
     ) {
         if let Some((lo, hi)) = self.gen_bounds(kind) {
-            table.append_inactive_in_gen_range(lo, hi, out);
+            table.append_inactive_in_gen_range(lo, hi, out, limit);
         }
     }
 
@@ -188,7 +191,7 @@ impl Puckets {
     /// only.
     pub fn hot_pool_pages(&self, table: &PageTable) -> Vec<PageId> {
         let mut out = Vec::new();
-        table.append_hot_pool_local(&mut out);
+        table.append_hot_pool_local(&mut out, usize::MAX);
         out
     }
 
@@ -201,20 +204,18 @@ impl Puckets {
     }
 
     /// Allocation-free variant of [`Puckets::promote_accessed`]: the scan
-    /// hits land in the caller-owned `scratch` buffer (clobbered).
+    /// hits land in the caller-owned `scratch` buffer (clobbered). Pages
+    /// already in the hot pool cannot be promoted again, so the scan
+    /// reports only the accessed pages outside it.
     pub fn promote_accessed_into(
         &self,
         table: &mut PageTable,
         scratch: &mut Vec<(PageId, bool)>,
     ) -> PromoteSummary {
-        table.scan_accessed_with_faults_into(scratch);
+        table.scan_accessed_outside_hot_pool_into(scratch);
         let mut summary = PromoteSummary::default();
         for &(id, faulted) in scratch.iter() {
-            let meta = table.meta(id);
-            if meta.in_hot_pool() {
-                continue;
-            }
-            match self.classify(meta) {
+            match self.classify(table.meta(id)) {
                 PucketKind::Runtime => {
                     summary.runtime_promoted += 1;
                     if faulted {

@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 
-use faasmem_mem::{mib_to_pages, FlowMatrix, PageId};
+use faasmem_mem::{mib_to_pages, FlowMatrix};
 use faasmem_metrics::{
     BlameAccumulator, BlameBreakdown, BlameComponent, MetricsRegistry, SloTracker,
     WasteAccumulator, WasteComponent, WasteLedger,
@@ -1574,11 +1574,12 @@ impl PlatformSim {
             &mut self.rng,
         );
 
-        let runtime_base = container.runtime_range().start().0;
-        let init_base = container.init_range().start().0;
+        let runtime = container.runtime_range().start();
+        let init = container.init_range().start();
         let table = container.table_mut();
-        let mut outcome = table.touch_pages(plan.runtime.iter().map(|i| PageId(runtime_base + i)));
-        outcome.merge(table.touch_pages(plan.init.iter().map(|i| PageId(init_base + i))));
+        let mut outcome =
+            table.touch_prefix_and_extras(runtime, plan.runtime.prefix(), plan.runtime.extras());
+        outcome.merge(table.touch_prefix_and_extras(init, plan.init.prefix(), plan.init.extras()));
         let exec_range = table.alloc(faasmem_mem::Segment::Execution, plan.exec_pages);
         table.touch_range(exec_range);
         container.set_exec_range(exec_range);

@@ -164,8 +164,13 @@ impl ReferencePageTable {
 
     /// Touches every page of a range.
     pub fn touch_range(&mut self, range: PageRange) -> TouchOutcome {
+        self.touch_pages(range.iter())
+    }
+
+    /// Touches an arbitrary set of pages, one at a time.
+    pub fn touch_pages<I: IntoIterator<Item = PageId>>(&mut self, ids: I) -> TouchOutcome {
         let mut out = TouchOutcome::default();
-        for id in range.iter() {
+        for id in ids {
             if self.pages[id.index()].state() == PageState::Freed {
                 continue;
             }
@@ -412,6 +417,9 @@ impl ReferencePageTable {
 mod tests {
     use super::*;
     use crate::{PageTable, PAGE_SIZE_4K};
+    use faasmem_trace::{EventKind, LayerMask, Tracer};
+    use proptest::test_runner::TestRng;
+    use proptest::Strategy;
 
     /// Deterministic coin stream for sampled-aging comparisons: both
     /// tables get an identical sequence, so any divergence in *when*
@@ -452,6 +460,210 @@ mod tests {
         }
     }
 
+    /// A tracer recording every layer, attached to `table`.
+    fn record(table: &mut PageTable) -> Tracer {
+        let tracer = Tracer::recording(LayerMask::ALL);
+        table.attach_tracer(tracer.clone(), 1);
+        tracer
+    }
+
+    fn event_kinds(tracer: &Tracer) -> Vec<EventKind> {
+        tracer.take_events().into_iter().map(|e| e.kind).collect()
+    }
+
+    /// Drives a [`PageTable`] and a [`ReferencePageTable`] through the
+    /// interleaving `ops` encodes and asserts every observable agrees.
+    ///
+    /// Besides the one-to-one operations, three batch paths are checked
+    /// against their plain equivalents:
+    /// * the prefix-plus-extras touch against `touch_pages` over the
+    ///   same pages (outcome, counters, metadata, the trace event);
+    /// * limited collections against unlimited ones truncated;
+    /// * the hot-pool-skipping scan against the full scan filtered by
+    ///   hot-pool membership (hits, bits left behind, the trace event).
+    fn check_against_reference(ops: &[u32]) {
+        let mut new = PageTable::new(PAGE_SIZE_4K);
+        let mut reference = ReferencePageTable::new(PAGE_SIZE_4K);
+        let mut ranges: Vec<PageRange> = Vec::new();
+        let mut coin_seed = 0x5EED_0001u64;
+        for (i, &v) in ops.iter().enumerate() {
+            let arg = v / 13;
+            match v % 13 {
+                0 => {
+                    // Allocations cross word boundaries on purpose: up
+                    // to 80 pages lands mid-word more often than not.
+                    let seg = Segment::ALL[arg as usize % 3];
+                    let count = arg % 80 + 1;
+                    let a = new.alloc(seg, count);
+                    let b = reference.alloc(seg, count);
+                    assert_eq!(a, b);
+                    ranges.push(a);
+                }
+                1 => {
+                    if !ranges.is_empty() {
+                        let r = ranges.swap_remove(arg as usize % ranges.len());
+                        new.free_range(r);
+                        reference.free_range(r);
+                    }
+                }
+                2 => {
+                    if let Some(&r) = ranges.get(arg as usize % ranges.len().max(1)) {
+                        assert_eq!(new.touch_range(r), reference.touch_range(r));
+                    }
+                }
+                3 => {
+                    if let Some(&r) = ranges.get(arg as usize % ranges.len().max(1)) {
+                        assert_eq!(new.offload_range(r), reference.offload_range(r));
+                    }
+                }
+                4 => {
+                    if let Some(&r) = ranges.get(arg as usize % ranges.len().max(1)) {
+                        assert_eq!(new.page_in_range(r), reference.page_in_range(r));
+                    }
+                }
+                5 => {
+                    let full = reference.scan_accessed_with_faults();
+                    if arg % 2 == 0 {
+                        let ids: Vec<PageId> = full.iter().map(|&(id, _)| id).collect();
+                        assert_eq!(new.scan_accessed(), ids);
+                    } else {
+                        // Hot-pool flags do not change during a scan, so
+                        // filtering after it sees the flags it saw.
+                        let outside: Vec<(PageId, bool)> = full
+                            .iter()
+                            .copied()
+                            .filter(|&(id, _)| !reference.meta(id).in_hot_pool())
+                            .collect();
+                        let mut twin = new.clone();
+                        let (skip_trace, full_trace) = (record(&mut new), record(&mut twin));
+                        assert_eq!(new.scan_accessed_outside_hot_pool(), outside);
+                        assert_eq!(twin.scan_accessed().len(), full.len());
+                        assert_eq!(event_kinds(&skip_trace), event_kinds(&full_trace));
+                        new.attach_tracer(Tracer::disabled(), 0);
+                        assert_same_observables(&new, &reference);
+                    }
+                }
+                6 => {
+                    let thr = (arg % 3 + 1) as u8;
+                    assert_eq!(
+                        new.age_and_collect_idle(thr),
+                        reference.age_and_collect_idle(thr)
+                    );
+                }
+                7 => {
+                    // Twin coin streams: equality of the collected ids
+                    // implies the draw sequences stayed aligned.
+                    let thr = (arg % 3 + 1) as u8;
+                    let prob = 0.35 + f64::from(arg % 50) / 100.0;
+                    let mut c1 = Coin(coin_seed);
+                    let mut c2 = Coin(coin_seed);
+                    coin_seed = coin_seed
+                        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                        .wrapping_add(1);
+                    let a = new.age_and_collect_idle_sampled(thr, prob, || c1.next());
+                    let b = reference.age_and_collect_idle_sampled(thr, prob, || c2.next());
+                    assert_eq!(a, b);
+                    assert_eq!(c1.0, c2.0, "coin draw counts diverged");
+                }
+                8 => {
+                    if !new.is_empty() {
+                        let id = PageId(arg % new.len() as u32);
+                        let on = i % 2 == 0;
+                        new.set_in_hot_pool(id, on);
+                        reference.set_in_hot_pool(id, on);
+                    } else {
+                        assert_eq!(new.clear_local_hot_pool(), reference.clear_local_hot_pool());
+                    }
+                    if i % 5 == 0 {
+                        assert_eq!(new.clear_local_hot_pool(), reference.clear_local_hot_pool());
+                    }
+                }
+                9 => {
+                    if i % 4 == 0 {
+                        let g = new.create_generation();
+                        assert_eq!(g, reference.create_generation());
+                    } else if !new.is_empty() {
+                        let id = PageId(arg % new.len() as u32);
+                        let g = Generation(arg % (new.current_generation().0 + 1));
+                        new.set_generation(id, g);
+                        reference.set_generation(id, g);
+                    }
+                }
+                10 => {
+                    // A request-shaped touch starting at some range: a
+                    // dense prefix, then strided extras up to the end of
+                    // the table. Freed and remote pages are whatever the
+                    // interleaving left there.
+                    if let Some(&r) = ranges.get(arg as usize % ranges.len().max(1)) {
+                        let base = r.start();
+                        let room = new.len() as u32 - base.0;
+                        let prefix = arg % (r.len() + 1);
+                        let stride = arg % 7 + 1;
+                        let extras: Vec<u32> =
+                            (prefix + arg % 3..room).step_by(stride as usize).collect();
+                        let union: Vec<PageId> = (0..prefix)
+                            .chain(extras.iter().copied())
+                            .map(|i| PageId(base.0 + i))
+                            .collect();
+                        let mut twin = new.clone();
+                        let (batch_trace, plain_trace) = (record(&mut new), record(&mut twin));
+                        let batch = new.touch_prefix_and_extras(base, prefix, &extras);
+                        assert_eq!(batch, twin.touch_pages(union.iter().copied()));
+                        assert_eq!(batch, reference.touch_pages(union.iter().copied()));
+                        let events = event_kinds(&batch_trace);
+                        assert!(events.len() <= 1, "one demand-fault event at most");
+                        assert_eq!(events, event_kinds(&plain_trace));
+                        new.attach_tracer(Tracer::disabled(), 0);
+                        assert_same_observables(&new, &reference);
+                    }
+                }
+                11 => {
+                    // Limited collections equal unlimited ones truncated,
+                    // for limits 0, 1, exact and past the count; the
+                    // unlimited ones equal the per-page predicates.
+                    let gen_lo = arg % (new.current_generation().0 + 1);
+                    let gen_hi = gen_lo + arg % 3 + 1;
+                    let local = |m: PageMeta| m.state() == PageState::Local;
+                    let in_gens = |m: PageMeta| (gen_lo..gen_hi).contains(&m.generation());
+                    type Append<'a> = Box<dyn Fn(&mut Vec<PageId>, usize) + 'a>;
+                    let cases: [(Append<'_>, Vec<PageId>); 3] = [
+                        (
+                            Box::new(|out, limit| new.append_local(out, limit)),
+                            reference.collect_ids(|_, m| local(m)),
+                        ),
+                        (
+                            Box::new(|out, limit| {
+                                new.append_inactive_in_gen_range(gen_lo, gen_hi, out, limit)
+                            }),
+                            reference
+                                .collect_ids(|_, m| local(m) && !m.in_hot_pool() && in_gens(m)),
+                        ),
+                        (
+                            Box::new(|out, limit| new.append_hot_pool_local(out, limit)),
+                            reference.collect_ids(|_, m| local(m) && m.in_hot_pool()),
+                        ),
+                    ];
+                    for (append, expected) in cases {
+                        let n = expected.len();
+                        for limit in [0, 1, n / 2, n, n + 1, usize::MAX] {
+                            // A stale entry checks the append-only contract.
+                            let mut out = vec![PageId(u32::MAX)];
+                            append(&mut out, limit);
+                            assert_eq!(out[0], PageId(u32::MAX));
+                            assert_eq!(out[1..], expected[..limit.min(n)], "limit {limit}");
+                        }
+                    }
+                }
+                _ => {
+                    let count = new.clear_accessed();
+                    let full = reference.scan_accessed_with_faults();
+                    assert_eq!(count, full.len() as u64);
+                }
+            }
+        }
+        assert_same_observables(&new, &reference);
+    }
+
     proptest::proptest! {
         // The bitmap/SoA table is observably equivalent to the naive
         // per-page model: same returned ids in the same (ascending)
@@ -459,116 +671,22 @@ mod tests {
         // random alloc/free/touch/offload/scan/age interleavings.
         #[test]
         fn prop_bitmap_path_matches_reference(
-            ops in proptest::collection::vec(0u32..70_000, 1..90),
+            ops in proptest::collection::vec(0u32..91_000, 1..90),
         ) {
-            let mut new = PageTable::new(PAGE_SIZE_4K);
-            let mut reference = ReferencePageTable::new(PAGE_SIZE_4K);
-            let mut ranges: Vec<PageRange> = Vec::new();
-            let mut coin_seed = 0x5EED_0001u64;
-            for (i, &v) in ops.iter().enumerate() {
-                let arg = v / 10;
-                match v % 10 {
-                    0 => {
-                        // Allocations cross word boundaries on purpose:
-                        // up to 80 pages lands mid-word more often than
-                        // not.
-                        let seg = Segment::ALL[arg as usize % 3];
-                        let count = arg % 80 + 1;
-                        let a = new.alloc(seg, count);
-                        let b = reference.alloc(seg, count);
-                        proptest::prop_assert_eq!(a, b);
-                        ranges.push(a);
-                    }
-                    1 => {
-                        if !ranges.is_empty() {
-                            let r = ranges.swap_remove(arg as usize % ranges.len());
-                            new.free_range(r);
-                            reference.free_range(r);
-                        }
-                    }
-                    2 => {
-                        if let Some(&r) = ranges.get(arg as usize % ranges.len().max(1)) {
-                            proptest::prop_assert_eq!(
-                                new.touch_range(r),
-                                reference.touch_range(r)
-                            );
-                        }
-                    }
-                    3 => {
-                        if let Some(&r) = ranges.get(arg as usize % ranges.len().max(1)) {
-                            proptest::prop_assert_eq!(
-                                new.offload_range(r),
-                                reference.offload_range(r)
-                            );
-                        }
-                    }
-                    4 => {
-                        if let Some(&r) = ranges.get(arg as usize % ranges.len().max(1)) {
-                            proptest::prop_assert_eq!(
-                                new.page_in_range(r),
-                                reference.page_in_range(r)
-                            );
-                        }
-                    }
-                    5 => {
-                        proptest::prop_assert_eq!(
-                            new.scan_accessed_with_faults(),
-                            reference.scan_accessed_with_faults()
-                        );
-                    }
-                    6 => {
-                        let thr = (arg % 3 + 1) as u8;
-                        proptest::prop_assert_eq!(
-                            new.age_and_collect_idle(thr),
-                            reference.age_and_collect_idle(thr)
-                        );
-                    }
-                    7 => {
-                        // Twin coin streams: equality of the collected
-                        // ids implies the draw sequences stayed aligned.
-                        let thr = (arg % 3 + 1) as u8;
-                        let prob = 0.35 + f64::from(arg % 50) / 100.0;
-                        let mut c1 = Coin(coin_seed);
-                        let mut c2 = Coin(coin_seed);
-                        coin_seed = coin_seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
-                        let a = new.age_and_collect_idle_sampled(thr, prob, || c1.next());
-                        let b = reference.age_and_collect_idle_sampled(thr, prob, || c2.next());
-                        proptest::prop_assert_eq!(a, b);
-                        proptest::prop_assert_eq!(c1.0, c2.0, "coin draw counts diverged");
-                    }
-                    8 => {
-                        if !new.is_empty() {
-                            let id = PageId(arg % new.len() as u32);
-                            let on = i % 2 == 0;
-                            new.set_in_hot_pool(id, on);
-                            reference.set_in_hot_pool(id, on);
-                        } else {
-                            proptest::prop_assert_eq!(
-                                new.clear_local_hot_pool(),
-                                reference.clear_local_hot_pool()
-                            );
-                        }
-                        if i % 5 == 0 {
-                            proptest::prop_assert_eq!(
-                                new.clear_local_hot_pool(),
-                                reference.clear_local_hot_pool()
-                            );
-                        }
-                    }
-                    _ => {
-                        if i % 4 == 0 {
-                            let g = new.create_generation();
-                            proptest::prop_assert_eq!(g, reference.create_generation());
-                        } else if !new.is_empty() {
-                            let id = PageId(arg % new.len() as u32);
-                            let g = Generation(arg % (new.current_generation().0 + 1));
-                            new.set_generation(id, g);
-                            reference.set_generation(id, g);
-                        }
-                    }
-                }
-            }
-            assert_same_observables(&new, &reference);
+            check_against_reference(&ops);
+        }
+    }
+
+    /// The property above over many more, and longer, interleavings:
+    /// `cargo test -p faasmem-mem --release -- --ignored`.
+    #[test]
+    #[ignore = "extended run; minutes in debug builds"]
+    fn bitmap_path_matches_reference_extended() {
+        let strategy = proptest::collection::vec(0u32..91_000, 1..400);
+        for case in 0..20_000u64 {
+            let mut rng =
+                TestRng::from_seed(case.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x4D45_4D00);
+            check_against_reference(&strategy.generate(&mut rng));
         }
     }
 
@@ -592,7 +710,10 @@ mod tests {
         );
         n.free_range(e1);
         r.free_range(e1);
-        assert_eq!(n.scan_accessed_with_faults(), r.scan_accessed_with_faults());
+        assert_eq!(
+            n.scan_accessed_outside_hot_pool(),
+            r.scan_accessed_with_faults()
+        );
         assert_eq!(n.age_and_collect_idle(1), r.age_and_collect_idle(1));
         assert_same_observables(&n, &r);
     }

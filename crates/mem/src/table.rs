@@ -311,6 +311,14 @@ impl PageTable {
         for (w, mask) in span_words(start, new_len) {
             self.freed[w] &= !mask;
         }
+        // A container allocates a segment at a time, a handful of times
+        // in its life, so the columns grow by exactly that much instead
+        // of doubling and leaving up to half of each one unused.
+        let more = count as usize;
+        self.generation.reserve_exact(more);
+        self.idle_scans.reserve_exact(more);
+        self.access_count.reserve_exact(more);
+        self.segment.reserve_exact(more);
         self.generation.resize(new_len, self.current_gen);
         self.idle_scans.resize(new_len, 0);
         self.access_count.resize(new_len, 0);
@@ -419,8 +427,46 @@ impl PageTable {
 
     /// Touches every page of a range.
     pub fn touch_range(&mut self, range: PageRange) -> TouchOutcome {
+        self.touch_prefix_and_extras(range.start(), range.len(), &[])
+    }
+
+    /// Touches an arbitrary set of pages.
+    pub fn touch_pages<I: IntoIterator<Item = PageId>>(&mut self, ids: I) -> TouchOutcome {
+        let out = self.touch_each(ids);
+        self.trace_demand_faults(out.faulted);
+        out
+    }
+
+    fn touch_each<I: IntoIterator<Item = PageId>>(&mut self, ids: I) -> TouchOutcome {
         let mut out = TouchOutcome::default();
-        if let Some((start, end)) = self.range_bounds(range) {
+        for id in ids {
+            self.assert_allocated(id);
+            let (w, b) = word_bit(id.index());
+            if self.freed[w] & b != 0 {
+                continue;
+            }
+            out.touched += 1;
+            if self.touch(id) {
+                out.faulted += 1;
+            }
+        }
+        out
+    }
+
+    /// Touches the pages `base + i` for `i` in `[0, prefix)` and in
+    /// `extras` — one request's plan for one segment. The prefix is
+    /// walked word by word like [`PageTable::touch_range`]; only the
+    /// extras cost a page each. Observably identical to
+    /// [`PageTable::touch_pages`] over the same pages, including its
+    /// single demand-fault trace event.
+    pub fn touch_prefix_and_extras(
+        &mut self,
+        base: PageId,
+        prefix: u32,
+        extras: &[u32],
+    ) -> TouchOutcome {
+        let mut out = TouchOutcome::default();
+        if let Some((start, end)) = self.range_bounds(PageRange::new(base, prefix)) {
             for (w, mask) in span_words(start, end) {
                 let live = mask & !self.freed[w];
                 if live == 0 {
@@ -453,24 +499,7 @@ impl PageTable {
                 }
             }
         }
-        self.trace_demand_faults(out.faulted);
-        out
-    }
-
-    /// Touches an arbitrary set of pages.
-    pub fn touch_pages<I: IntoIterator<Item = PageId>>(&mut self, ids: I) -> TouchOutcome {
-        let mut out = TouchOutcome::default();
-        for id in ids {
-            self.assert_allocated(id);
-            let (w, b) = word_bit(id.index());
-            if self.freed[w] & b != 0 {
-                continue;
-            }
-            out.touched += 1;
-            if self.touch(id) {
-                out.faulted += 1;
-            }
-        }
+        out.merge(self.touch_each(extras.iter().map(|&i| PageId(base.0 + i))));
         self.trace_demand_faults(out.faulted);
         out
     }
@@ -698,20 +727,25 @@ impl PageTable {
         self.trace_scan(out.len() as u64);
     }
 
-    /// Like [`PageTable::scan_accessed`], but also reports per page
-    /// whether the access faulted it back from remote memory since the
-    /// previous scan — the signal recall accounting (Fig 8) needs.
-    pub fn scan_accessed_with_faults(&mut self) -> Vec<(PageId, bool)> {
+    /// Like [`PageTable::scan_accessed`], but reports only the accessed
+    /// pages *outside* the hot page pool — the only ones a promotion can
+    /// act on — each with whether the access faulted it back from remote
+    /// memory since the previous scan (the signal recall accounting,
+    /// Fig 8, needs). Access bits and recently-faulted flags are cleared
+    /// on every live page, hot pool included, and the trace event counts
+    /// every accessed page, exactly as the full scan does.
+    pub fn scan_accessed_outside_hot_pool(&mut self) -> Vec<(PageId, bool)> {
         let mut out = Vec::new();
-        self.scan_accessed_with_faults_into(&mut out);
+        self.scan_accessed_outside_hot_pool_into(&mut out);
         out
     }
 
     /// Allocation-free variant of
-    /// [`PageTable::scan_accessed_with_faults`]: clears `out` and fills
-    /// it in ascending page order.
-    pub fn scan_accessed_with_faults_into(&mut self, out: &mut Vec<(PageId, bool)>) {
+    /// [`PageTable::scan_accessed_outside_hot_pool`]: clears `out` and
+    /// fills it in ascending page order.
+    pub fn scan_accessed_outside_hot_pool_into(&mut self, out: &mut Vec<(PageId, bool)>) {
         out.clear();
+        let mut accessed = 0u64;
         for w in 0..self.words() {
             let live = !self.freed[w];
             if live == 0 {
@@ -719,8 +753,9 @@ impl PageTable {
             }
             let hits = self.accessed[w] & live;
             if hits != 0 {
+                accessed += u64::from(hits.count_ones());
                 let rf = self.recently_faulted[w];
-                let mut bits = hits;
+                let mut bits = hits & !self.hot_pool[w];
                 while bits != 0 {
                     let t = bits.trailing_zeros() as usize;
                     out.push((PageId(((w << 6) | t) as u32), rf >> t & 1 != 0));
@@ -730,7 +765,7 @@ impl PageTable {
             }
             self.recently_faulted[w] &= !live;
         }
-        self.trace_scan(out.len() as u64);
+        self.trace_scan(accessed);
     }
 
     /// Clears all Access bits (and recently-faulted flags) without
@@ -928,12 +963,17 @@ impl PageTable {
         }
     }
 
-    /// Appends the ids of live *local* pages to `out` (no clear) — the
+    /// Appends the ids of live *local* pages to `out` (no clear),
+    /// ascending, stopping after `limit` ids (`usize::MAX`: all) — the
     /// residency sweep semi-warm reclamation uses when Puckets are off.
-    pub fn append_local(&self, out: &mut Vec<PageId>) {
+    pub fn append_local(&self, out: &mut Vec<PageId>, limit: usize) {
+        let stop = out.len().saturating_add(limit);
         for w in 0..self.words() {
+            if out.len() == stop {
+                return;
+            }
             let mut bits = !self.freed[w] & !self.remote[w];
-            while bits != 0 {
+            while bits != 0 && out.len() < stop {
                 out.push(PageId(((w << 6) | bits.trailing_zeros() as usize) as u32));
                 bits &= bits - 1;
             }
@@ -958,12 +998,24 @@ impl PageTable {
 
     /// Appends the ids of *inactive* pages — live, local, outside the hot
     /// pool — whose generation lies in `[gen_lo, gen_hi)`, in ascending
-    /// order (no clear). This is a Pucket's inactive list expressed as a
-    /// generation interval.
-    pub fn append_inactive_in_gen_range(&self, gen_lo: u32, gen_hi: u32, out: &mut Vec<PageId>) {
+    /// order (no clear), stopping after `limit` ids (`usize::MAX`: all).
+    /// This is a Pucket's inactive list expressed as a generation
+    /// interval; the limit lets a budgeted drain stop walking the table
+    /// once it holds its budget.
+    pub fn append_inactive_in_gen_range(
+        &self,
+        gen_lo: u32,
+        gen_hi: u32,
+        out: &mut Vec<PageId>,
+        limit: usize,
+    ) {
+        let stop = out.len().saturating_add(limit);
         for w in 0..self.words() {
+            if out.len() == stop {
+                return;
+            }
             let mut bits = !self.freed[w] & !self.remote[w] & !self.hot_pool[w];
-            while bits != 0 {
+            while bits != 0 && out.len() < stop {
                 let i = (w << 6) | bits.trailing_zeros() as usize;
                 let g = self.generation[i];
                 if g >= gen_lo && g < gen_hi {
@@ -993,12 +1045,17 @@ impl PageTable {
     }
 
     /// Appends the ids of live *local* hot-pool pages to `out` (no
-    /// clear), ascending. Remote pages keep their hot-pool flag (it is
-    /// what marks them for recall prefetch) but are not reported here.
-    pub fn append_hot_pool_local(&self, out: &mut Vec<PageId>) {
+    /// clear), ascending, stopping after `limit` ids (`usize::MAX`: all).
+    /// Remote pages keep their hot-pool flag (it is what marks them for
+    /// recall prefetch) but are not reported here.
+    pub fn append_hot_pool_local(&self, out: &mut Vec<PageId>, limit: usize) {
+        let stop = out.len().saturating_add(limit);
         for w in 0..self.words() {
+            if out.len() == stop {
+                return;
+            }
             let mut bits = self.hot_pool[w] & !self.freed[w] & !self.remote[w];
-            while bits != 0 {
+            while bits != 0 && out.len() < stop {
                 out.push(PageId(((w << 6) | bits.trailing_zeros() as usize) as u32));
                 bits &= bits - 1;
             }
@@ -1470,7 +1527,7 @@ mod tests {
         t.set_in_hot_pool(init.start(), true);
 
         let mut out = Vec::new();
-        t.append_local(&mut out);
+        t.append_local(&mut out, usize::MAX);
         assert_eq!(out.len(), 140 - 3);
         assert_eq!(out[0], PageId(3));
 
@@ -1480,21 +1537,21 @@ mod tests {
 
         // Runtime pucket = generations [0, 1): live local non-hot.
         out.clear();
-        t.append_inactive_in_gen_range(0, 1, &mut out);
+        t.append_inactive_in_gen_range(0, 1, &mut out, usize::MAX);
         assert_eq!(out.len(), 70 - 3 - 1);
         assert!(!out.contains(&PageId(65)));
         assert_eq!(t.count_inactive_in_gen_range(0, 1), 66);
         assert_eq!(t.count_inactive_in_gen_range(1, u32::MAX), 69);
 
         out.clear();
-        t.append_hot_pool_local(&mut out);
+        t.append_hot_pool_local(&mut out, usize::MAX);
         assert_eq!(out, vec![PageId(65), init.start()]);
 
         // An offloaded hot page keeps its flag but stops being reported
         // as local, and rollback leaves it flagged for recall.
         t.offload(PageId(65));
         out.clear();
-        t.append_hot_pool_local(&mut out);
+        t.append_hot_pool_local(&mut out, usize::MAX);
         assert_eq!(out, vec![init.start()]);
         assert_eq!(t.clear_local_hot_pool(), 1);
         assert!(t.meta(PageId(65)).in_hot_pool());

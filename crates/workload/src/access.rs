@@ -52,27 +52,56 @@ pub enum InitAccess {
     FullTraversal,
 }
 
-/// A set of segment-relative page indexes, kept as a range when dense.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum AccessSet {
-    /// The contiguous index range `[start, end)`.
-    Range(u32, u32),
-    /// An explicit, sorted, de-duplicated index list.
-    Sparse(Vec<u32>),
+/// A set of segment-relative page indexes: the dense prefix
+/// `[0, prefix)` plus sorted, distinct extras, all `>= prefix`.
+///
+/// Every plan the planner makes has this shape — a hot prefix (possibly
+/// empty) and a few scattered pages past it — so the page table can
+/// touch the prefix word by word and only the extras one at a time.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct AccessSet {
+    prefix: u32,
+    extras: Vec<u32>,
 }
+
+/// The iterator [`AccessSet::iter`] returns: the prefix, then the extras.
+pub type AccessIter<'a> =
+    std::iter::Chain<std::ops::Range<u32>, std::iter::Copied<std::slice::Iter<'a, u32>>>;
 
 impl AccessSet {
     /// An empty set.
     pub fn empty() -> Self {
-        AccessSet::Range(0, 0)
+        AccessSet::default()
+    }
+
+    /// The set `[0, prefix)` ∪ `extras`.
+    ///
+    /// # Panics
+    ///
+    /// Panics (in debug builds) unless `extras` is strictly ascending
+    /// and starts at or after `prefix`.
+    pub fn new(prefix: u32, extras: Vec<u32>) -> Self {
+        debug_assert!(
+            extras.first().is_none_or(|&first| first >= prefix)
+                && extras.windows(2).all(|w| w[0] < w[1]),
+            "extras must be sorted, distinct and past the prefix"
+        );
+        AccessSet { prefix, extras }
+    }
+
+    /// Length of the dense prefix `[0, prefix)`.
+    pub fn prefix(&self) -> u32 {
+        self.prefix
+    }
+
+    /// The sorted, distinct indexes past the prefix.
+    pub fn extras(&self) -> &[u32] {
+        &self.extras
     }
 
     /// Number of pages in the set.
     pub fn len(&self) -> usize {
-        match self {
-            AccessSet::Range(s, e) => (e - s) as usize,
-            AccessSet::Sparse(v) => v.len(),
-        }
+        self.prefix as usize + self.extras.len()
     }
 
     /// `true` when the set is empty.
@@ -80,20 +109,14 @@ impl AccessSet {
         self.len() == 0
     }
 
-    /// Iterates over the page indexes.
-    pub fn iter(&self) -> Box<dyn Iterator<Item = u32> + '_> {
-        match self {
-            AccessSet::Range(s, e) => Box::new(*s..*e),
-            AccessSet::Sparse(v) => Box::new(v.iter().copied()),
-        }
+    /// Iterates over the page indexes in ascending order.
+    pub fn iter(&self) -> AccessIter<'_> {
+        (0..self.prefix).chain(self.extras.iter().copied())
     }
 
     /// `true` if `index` is in the set.
     pub fn contains(&self, index: u32) -> bool {
-        match self {
-            AccessSet::Range(s, e) => index >= *s && index < *e,
-            AccessSet::Sparse(v) => v.binary_search(&index).is_ok(),
-        }
+        index < self.prefix || self.extras.binary_search(&index).is_ok()
     }
 }
 
@@ -153,11 +176,9 @@ impl RequestAccess {
         let runtime = if runtime_total_pages > runtime_hot_pages && rng.chance(rare_runtime_prob) {
             let cold =
                 rng.range(u64::from(runtime_hot_pages), u64::from(runtime_total_pages)) as u32;
-            let mut v: Vec<u32> = (0..runtime_hot_pages).collect();
-            v.push(cold);
-            AccessSet::Sparse(v)
+            AccessSet::new(runtime_hot_pages, vec![cold])
         } else {
-            AccessSet::Range(0, runtime_hot_pages)
+            AccessSet::new(runtime_hot_pages, Vec::new())
         };
         RequestAccess {
             runtime,
@@ -171,10 +192,9 @@ impl RequestAccess {
             return AccessSet::empty();
         }
         match model {
-            InitAccess::FullTraversal => AccessSet::Range(0, init_pages),
+            InitAccess::FullTraversal => AccessSet::new(init_pages, Vec::new()),
             InitAccess::FixedHot { hot_fraction } => {
-                let hot = fraction_of(init_pages, hot_fraction);
-                AccessSet::Range(0, hot)
+                AccessSet::new(fraction_of(init_pages, hot_fraction), Vec::new())
             }
             InitAccess::HotPlusRandom {
                 hot_fraction,
@@ -183,19 +203,16 @@ impl RequestAccess {
                 let hot = fraction_of(init_pages, hot_fraction);
                 let extra = fraction_of(init_pages, random_fraction);
                 if extra == 0 || hot >= init_pages {
-                    return AccessSet::Range(0, hot.min(init_pages));
+                    return AccessSet::new(hot.min(init_pages), Vec::new());
                 }
-                let mut indexes: Vec<u32> = (0..hot).collect();
                 // Sample without replacement from the cold tail.
                 let tail = init_pages - hot;
                 let take = extra.min(tail);
-                let mut sampled = sample_without_replacement(tail, take, rng);
-                for s in sampled.drain(..) {
-                    indexes.push(hot + s);
+                let mut extras = sample_without_replacement(tail, take, rng);
+                for s in &mut extras {
+                    *s += hot;
                 }
-                indexes.sort_unstable();
-                indexes.dedup();
-                AccessSet::Sparse(indexes)
+                AccessSet::new(hot, extras)
             }
             InitAccess::ParetoPages {
                 alpha,
@@ -208,7 +225,7 @@ impl RequestAccess {
                 }
                 indexes.sort_unstable();
                 indexes.dedup();
-                AccessSet::Sparse(indexes)
+                AccessSet::new(0, indexes)
             }
             InitAccess::ParetoObjects {
                 alpha,
@@ -222,17 +239,18 @@ impl RequestAccess {
                 }
                 chosen.sort_unstable();
                 chosen.dedup();
+                // `objects <= init_pages`, so every object spans at least
+                // one page and ascending objects give ascending, disjoint
+                // page runs: the concatenation is already sorted.
                 let mut indexes = Vec::new();
                 for obj in chosen {
                     let start =
                         (u64::from(obj) * u64::from(init_pages) / u64::from(objects)) as u32;
                     let end =
                         ((u64::from(obj) + 1) * u64::from(init_pages) / u64::from(objects)) as u32;
-                    indexes.extend(start..end.max(start + 1).min(init_pages));
+                    indexes.extend(start..end);
                 }
-                indexes.sort_unstable();
-                indexes.dedup();
-                AccessSet::Sparse(indexes)
+                AccessSet::new(0, indexes)
             }
         }
     }
@@ -242,16 +260,28 @@ fn fraction_of(total: u32, fraction: f64) -> u32 {
     ((total as f64 * fraction).round() as u32).min(total)
 }
 
-/// Draws `take` distinct values from `[0, n)` (Floyd's algorithm).
+/// Draws `take` distinct values from `[0, n)` (Floyd's algorithm) and
+/// returns them ascending. Membership lives in a bitmap over `[0, n)`,
+/// so reading the sample out in order needs no sort.
 fn sample_without_replacement(n: u32, take: u32, rng: &mut SimRng) -> Vec<u32> {
     debug_assert!(take <= n);
-    let mut chosen = std::collections::HashSet::with_capacity(take as usize);
-    let mut out = Vec::with_capacity(take as usize);
+    let mut chosen = vec![0u64; (n as usize).div_ceil(64)];
     for j in (n - take)..n {
-        let t = rng.below(u64::from(j) + 1) as u32;
-        let pick = if chosen.contains(&t) { j } else { t };
-        chosen.insert(pick);
-        out.push(pick);
+        let t = rng.below(u64::from(j) + 1) as usize;
+        let pick = if chosen[t >> 6] >> (t & 63) & 1 != 0 {
+            j as usize
+        } else {
+            t
+        };
+        chosen[pick >> 6] |= 1u64 << (pick & 63);
+    }
+    let mut out = Vec::with_capacity(take as usize);
+    for (w, &word) in chosen.iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            out.push(((w << 6) | bits.trailing_zeros() as usize) as u32);
+            bits &= bits - 1;
+        }
     }
     out
 }
@@ -265,21 +295,22 @@ mod tests {
     }
 
     #[test]
-    fn access_set_range_semantics() {
-        let s = AccessSet::Range(5, 9);
+    fn access_set_prefix_semantics() {
+        let s = AccessSet::new(4, Vec::new());
         assert_eq!(s.len(), 4);
-        assert!(s.contains(5) && s.contains(8));
-        assert!(!s.contains(9) && !s.contains(4));
-        assert_eq!(s.iter().collect::<Vec<_>>(), vec![5, 6, 7, 8]);
+        assert!(s.contains(0) && s.contains(3));
+        assert!(!s.contains(4));
+        assert_eq!(s.iter().collect::<Vec<_>>(), vec![0, 1, 2, 3]);
     }
 
     #[test]
-    fn access_set_sparse_semantics() {
-        let s = AccessSet::Sparse(vec![1, 4, 7]);
-        assert_eq!(s.len(), 3);
-        assert!(s.contains(4));
-        assert!(!s.contains(5));
-        assert_eq!(s.iter().collect::<Vec<_>>(), vec![1, 4, 7]);
+    fn access_set_prefix_plus_extras_semantics() {
+        let s = AccessSet::new(2, vec![4, 7]);
+        assert_eq!(s.len(), 4);
+        assert_eq!((s.prefix(), s.extras()), (2, &[4, 7][..]));
+        assert!(s.contains(1) && s.contains(4));
+        assert!(!s.contains(2) && !s.contains(5));
+        assert_eq!(s.iter().collect::<Vec<_>>(), vec![0, 1, 4, 7]);
         assert!(AccessSet::empty().is_empty());
     }
 
@@ -301,7 +332,7 @@ mod tests {
             0,
             &mut r,
         );
-        assert_eq!(a.init, AccessSet::Range(0, 100));
+        assert_eq!(a.init, AccessSet::new(100, Vec::new()));
         // Same every request regardless of RNG state.
         let b = RequestAccess::plan(
             InitAccess::FixedHot { hot_fraction: 0.25 },
@@ -478,7 +509,7 @@ mod tests {
             0,
             &mut r,
         );
-        assert_eq!(a.runtime, AccessSet::Range(0, 10));
+        assert_eq!(a.runtime, AccessSet::new(10, Vec::new()));
     }
 
     #[test]
@@ -503,7 +534,7 @@ mod tests {
 
     proptest::proptest! {
         #[test]
-        fn prop_sparse_sets_sorted_deduped(
+        fn prop_extras_sorted_distinct_past_prefix(
             hot in 0.0f64..1.0,
             rand_frac in 0.0f64..0.5,
             pages in 1u32..2000,
@@ -512,11 +543,194 @@ mod tests {
             let model = InitAccess::HotPlusRandom { hot_fraction: hot, random_fraction: rand_frac };
             let mut r = SimRng::seed_from(seed);
             let a = RequestAccess::plan(model, 0, pages, 0, &mut r);
-            if let AccessSet::Sparse(v) = &a.init {
-                proptest::prop_assert!(v.windows(2).all(|w| w[0] < w[1]));
-                proptest::prop_assert!(v.iter().all(|&i| i < pages));
-            }
+            let v = a.init.extras();
+            proptest::prop_assert!(v.windows(2).all(|w| w[0] < w[1]));
+            proptest::prop_assert!(v.iter().all(|&i| i >= a.init.prefix() && i < pages));
             proptest::prop_assert!(a.init.len() <= pages as usize);
+        }
+    }
+
+    /// The planner as it was before plans took the prefix-plus-extras
+    /// form: every set materialised as one sorted, de-duplicated index
+    /// list, Floyd membership kept in a `HashSet`. The oracle the
+    /// current planner must match draw for draw.
+    mod reference {
+        use super::super::{fraction_of, InitAccess};
+        use faasmem_sim::SimRng;
+
+        pub fn plan_with_rare_runtime(
+            model: InitAccess,
+            runtime_hot_pages: u32,
+            runtime_total_pages: u32,
+            rare_runtime_prob: f64,
+            init_pages: u32,
+            rng: &mut SimRng,
+        ) -> (Vec<u32>, Vec<u32>) {
+            let init = plan_init(model, init_pages, rng);
+            let mut runtime: Vec<u32> = (0..runtime_hot_pages).collect();
+            if runtime_total_pages > runtime_hot_pages && rng.chance(rare_runtime_prob) {
+                let cold =
+                    rng.range(u64::from(runtime_hot_pages), u64::from(runtime_total_pages)) as u32;
+                runtime.push(cold);
+            }
+            (runtime, init)
+        }
+
+        fn plan_init(model: InitAccess, init_pages: u32, rng: &mut SimRng) -> Vec<u32> {
+            if init_pages == 0 {
+                return Vec::new();
+            }
+            let mut indexes = Vec::new();
+            match model {
+                InitAccess::FullTraversal => indexes.extend(0..init_pages),
+                InitAccess::FixedHot { hot_fraction } => {
+                    indexes.extend(0..fraction_of(init_pages, hot_fraction));
+                }
+                InitAccess::HotPlusRandom {
+                    hot_fraction,
+                    random_fraction,
+                } => {
+                    let hot = fraction_of(init_pages, hot_fraction);
+                    let extra = fraction_of(init_pages, random_fraction);
+                    indexes.extend(0..hot.min(init_pages));
+                    if extra == 0 || hot >= init_pages {
+                        return indexes;
+                    }
+                    let tail = init_pages - hot;
+                    let take = extra.min(tail);
+                    let mut chosen = std::collections::HashSet::new();
+                    for j in (tail - take)..tail {
+                        let t = rng.below(u64::from(j) + 1) as u32;
+                        let pick = if chosen.contains(&t) { j } else { t };
+                        chosen.insert(pick);
+                        indexes.push(hot + pick);
+                    }
+                }
+                InitAccess::ParetoPages {
+                    alpha,
+                    per_request_fraction,
+                } => {
+                    let per_request = fraction_of(init_pages, per_request_fraction).max(1);
+                    for _ in 0..per_request {
+                        indexes.push(rng.pareto_index(init_pages as usize, alpha) as u32);
+                    }
+                }
+                InitAccess::ParetoObjects {
+                    alpha,
+                    objects,
+                    per_request,
+                } => {
+                    let objects = objects.max(1).min(init_pages.max(1));
+                    let mut chosen = Vec::new();
+                    for _ in 0..per_request.max(1) {
+                        chosen.push(rng.pareto_index(objects as usize, alpha) as u32);
+                    }
+                    chosen.sort_unstable();
+                    chosen.dedup();
+                    for obj in chosen {
+                        let start =
+                            (u64::from(obj) * u64::from(init_pages) / u64::from(objects)) as u32;
+                        let end = ((u64::from(obj) + 1) * u64::from(init_pages)
+                            / u64::from(objects)) as u32;
+                        indexes.extend(start..end.max(start + 1).min(init_pages));
+                    }
+                }
+            }
+            indexes.sort_unstable();
+            indexes.dedup();
+            indexes
+        }
+    }
+
+    /// Asserts `set` is exactly `expected` (sorted, distinct) through
+    /// every query the simulator makes: iteration order, length and
+    /// membership of each index up to `bound`.
+    fn assert_same_set(set: &AccessSet, expected: &[u32], bound: u32, what: &str) {
+        assert_eq!(set.iter().collect::<Vec<_>>(), expected, "{what}: iter");
+        assert_eq!(set.len(), expected.len(), "{what}: len");
+        for i in 0..bound {
+            assert_eq!(
+                set.contains(i),
+                expected.binary_search(&i).is_ok(),
+                "{what}: contains({i})"
+            );
+        }
+    }
+
+    #[test]
+    fn planner_matches_reference_planner_draw_for_draw() {
+        let models = [
+            InitAccess::FullTraversal,
+            InitAccess::FixedHot { hot_fraction: 0.3 },
+            InitAccess::FixedHot { hot_fraction: 1.0 },
+            InitAccess::HotPlusRandom {
+                hot_fraction: 0.6,
+                random_fraction: 0.05,
+            },
+            // `take == tail`: the whole cold tail is sampled.
+            InitAccess::HotPlusRandom {
+                hot_fraction: 0.5,
+                random_fraction: 0.9,
+            },
+            // `extra == 0` and `hot >= init_pages`.
+            InitAccess::HotPlusRandom {
+                hot_fraction: 0.5,
+                random_fraction: 0.0,
+            },
+            InitAccess::HotPlusRandom {
+                hot_fraction: 1.0,
+                random_fraction: 0.2,
+            },
+            InitAccess::ParetoPages {
+                alpha: 1.1,
+                per_request_fraction: 0.05,
+            },
+            InitAccess::ParetoObjects {
+                alpha: 0.9,
+                objects: 37,
+                per_request: 4,
+            },
+            // More objects than pages: clamped to one page per object.
+            InitAccess::ParetoObjects {
+                alpha: 0.9,
+                objects: 500,
+                per_request: 6,
+            },
+        ];
+        for model in models {
+            for init_pages in [0u32, 1, 63, 64, 130, 1000] {
+                for seed in 0..40u64 {
+                    let mut new_rng = SimRng::seed_from(seed);
+                    let mut old_rng = SimRng::seed_from(seed);
+                    // Rare-runtime branch taken often (and never, when
+                    // the runtime has no cold pages).
+                    let (rt_hot, rt_total) = if seed % 3 == 0 { (8, 8) } else { (8, 70) };
+                    let plan = RequestAccess::plan_with_rare_runtime(
+                        model,
+                        rt_hot,
+                        rt_total,
+                        0.5,
+                        init_pages,
+                        3,
+                        &mut new_rng,
+                    );
+                    let (runtime, init) = reference::plan_with_rare_runtime(
+                        model,
+                        rt_hot,
+                        rt_total,
+                        0.5,
+                        init_pages,
+                        &mut old_rng,
+                    );
+                    let what = format!("{model:?} pages={init_pages} seed={seed}");
+                    assert_same_set(&plan.runtime, &runtime, rt_total + 1, &what);
+                    assert_same_set(&plan.init, &init, init_pages + 1, &what);
+                    assert_eq!(plan.exec_pages, 3);
+                    for _ in 0..4 {
+                        assert_eq!(new_rng.next_u64(), old_rng.next_u64(), "{what}: rng state");
+                    }
+                }
+            }
         }
     }
 }
