@@ -124,7 +124,7 @@ pub fn parse_series(input: &str) -> Result<SeriesDoc, String> {
                         t_secs.len()
                     ));
                 }
-                columns.push((name.clone(), values));
+                columns.push((name.to_string(), values));
             }
         }
         cells.push(SeriesCell {

@@ -853,16 +853,13 @@ impl GridRun {
                 push_labels(&mut cell, &c.labels);
                 match &c.outcome {
                     Ok(o) => {
-                        let ts = o.series.to_json();
-                        cell.push("t_us", ts.get("t_us").cloned().unwrap_or(JsonValue::Null));
-                        cell.push(
-                            "series",
-                            ts.get("series").cloned().unwrap_or(JsonValue::Null),
-                        );
+                        let (t_us, series) = o.series.json_parts();
+                        cell.push_static("t_us", t_us);
+                        cell.push_static("series", series);
                     }
                     Err(_) => {
-                        cell.push("t_us", JsonValue::Arr(Vec::new()));
-                        cell.push("series", JsonValue::obj());
+                        cell.push_static("t_us", JsonValue::Arr(Vec::new()));
+                        cell.push_static("series", JsonValue::obj());
                     }
                 }
                 cell
@@ -894,7 +891,7 @@ impl GridRun {
         for (i, cell) in self.cells.iter().enumerate() {
             if let Ok(o) = &cell.outcome {
                 for event in &o.trace_events {
-                    out.push_str(&event.jsonl_line(Some(i as u64)));
+                    event.write_jsonl(Some(i as u64), &mut out);
                     out.push('\n');
                 }
             }

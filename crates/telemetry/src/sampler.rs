@@ -242,10 +242,14 @@ impl Sampler {
             return 0.0;
         };
         let mut inner = inner.borrow_mut();
-        let prev = inner
-            .last_counters
-            .insert(name.to_string(), cumulative)
-            .unwrap_or(0.0);
+        // The key is allocated once per name, on its first call.
+        let prev = match inner.last_counters.get_mut(name) {
+            Some(last) => std::mem::replace(last, cumulative),
+            None => {
+                inner.last_counters.insert(name.to_string(), cumulative);
+                0.0
+            }
+        };
         cumulative - prev
     }
 

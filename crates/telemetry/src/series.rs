@@ -19,10 +19,23 @@ struct Column {
 /// A rectangular, columnar time-series: one tick axis, N named f64
 /// columns, all the same length. Columns are kept sorted by name so
 /// serialisation order never depends on insertion order.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default)]
 pub struct TimeSeries {
     ticks: Vec<u64>,
     columns: Vec<Column>,
+    /// The column index each position of the previous row resolved
+    /// to. A sampler emits the same names in the same order row after
+    /// row, so `push_row` confirms each guess with one name equality
+    /// and binary-searches only on a miss. An inserted column shifts
+    /// the indices after it; a guess it made stale fails the name check
+    /// like any other miss. Not part of equality.
+    layout: Vec<usize>,
+}
+
+impl PartialEq for TimeSeries {
+    fn eq(&self, other: &TimeSeries) -> bool {
+        self.ticks == other.ticks && self.columns == other.columns
+    }
 }
 
 impl TimeSeries {
@@ -73,24 +86,22 @@ impl TimeSeries {
     /// receive NaN for this row. Duplicate names within one row keep
     /// the last value.
     pub fn push_row<'a>(&mut self, t_us: u64, values: impl IntoIterator<Item = (&'a str, f64)>) {
-        let backfill = self.ticks.len();
         self.ticks.push(t_us);
-        for (name, v) in values {
-            let idx = match self.columns.binary_search_by(|c| c.name.as_str().cmp(name)) {
-                Ok(i) => i,
-                Err(i) => {
-                    self.columns.insert(
-                        i,
-                        Column {
-                            name: name.to_string(),
-                            values: vec![f64::NAN; backfill],
-                        },
-                    );
+        let rows = self.ticks.len();
+        for (pos, (name, v)) in values.into_iter().enumerate() {
+            let idx = match self.layout.get(pos) {
+                Some(&i) if self.columns[i].name == name => i,
+                _ => {
+                    let i = self.column_index(name, rows - 1);
+                    match self.layout.get_mut(pos) {
+                        Some(guess) => *guess = i,
+                        None => self.layout.push(i),
+                    }
                     i
                 }
             };
             let col = &mut self.columns[idx].values;
-            if col.len() == self.ticks.len() {
+            if col.len() == rows {
                 // Duplicate name within this row: last value wins.
                 *col.last_mut().expect("non-empty column") = v;
             } else {
@@ -98,8 +109,26 @@ impl TimeSeries {
             }
         }
         for col in &mut self.columns {
-            if col.values.len() < self.ticks.len() {
+            if col.values.len() < rows {
                 col.values.push(f64::NAN);
+            }
+        }
+    }
+
+    /// The index of column `name`, inserted in name order and
+    /// backfilled with `backfill` NaNs if it is new.
+    fn column_index(&mut self, name: &str, backfill: usize) -> usize {
+        match self.columns.binary_search_by(|c| c.name.as_str().cmp(name)) {
+            Ok(i) => i,
+            Err(i) => {
+                self.columns.insert(
+                    i,
+                    Column {
+                        name: name.to_string(),
+                        values: vec![f64::NAN; backfill],
+                    },
+                );
+                i
             }
         }
     }
@@ -114,15 +143,21 @@ impl TimeSeries {
     /// Serialises to `{"t_us": [...], "series": {name: [...]}}`. NaN
     /// samples (structural gaps) become JSON `null`.
     pub fn to_json(&self) -> JsonValue {
+        let (t_us, series) = self.json_parts();
         let mut doc = JsonValue::obj();
-        doc.push(
-            "t_us",
-            JsonValue::Arr(
-                self.ticks
-                    .iter()
-                    .map(|&t| JsonValue::Num(t as f64))
-                    .collect(),
-            ),
+        doc.push_static("t_us", t_us);
+        doc.push_static("series", series);
+        doc
+    }
+
+    /// The two members of [`to_json`](Self::to_json): the tick array
+    /// and the name-ordered column object.
+    pub fn json_parts(&self) -> (JsonValue, JsonValue) {
+        let t_us = JsonValue::Arr(
+            self.ticks
+                .iter()
+                .map(|&t| JsonValue::Num(t as f64))
+                .collect(),
         );
         let mut series = JsonValue::obj();
         for col in &self.columns {
@@ -131,8 +166,7 @@ impl TimeSeries {
                 JsonValue::Arr(col.values.iter().map(|&v| JsonValue::Num(v)).collect()),
             );
         }
-        doc.push("series", series);
-        doc
+        (t_us, series)
     }
 }
 
@@ -218,6 +252,146 @@ mod tests {
                         proptest::prop_assert_eq!(col.len(), ts.len());
                     }
                 }
+            }
+        }
+    }
+
+    /// `push_row` as it was before the remembered layout: a binary
+    /// search per value. The oracle for the layout fast path.
+    fn reference_push_row(ts: &mut TimeSeries, t_us: u64, values: &[(&str, f64)]) {
+        let backfill = ts.ticks.len();
+        ts.ticks.push(t_us);
+        for &(name, v) in values {
+            let idx = match ts.columns.binary_search_by(|c| c.name.as_str().cmp(name)) {
+                Ok(i) => i,
+                Err(i) => {
+                    ts.columns.insert(
+                        i,
+                        Column {
+                            name: name.to_string(),
+                            values: vec![f64::NAN; backfill],
+                        },
+                    );
+                    i
+                }
+            };
+            let col = &mut ts.columns[idx].values;
+            if col.len() == ts.ticks.len() {
+                *col.last_mut().expect("non-empty column") = v;
+            } else {
+                col.push(v);
+            }
+        }
+        for col in &mut ts.columns {
+            if col.values.len() < ts.ticks.len() {
+                col.values.push(f64::NAN);
+            }
+        }
+    }
+
+    /// Same ticks, same column names, bitwise-equal samples (NaN gaps
+    /// included, which `==` cannot see).
+    fn same_bits(a: &TimeSeries, b: &TimeSeries) -> bool {
+        a.ticks == b.ticks
+            && a.columns.len() == b.columns.len()
+            && a.columns.iter().zip(&b.columns).all(|(x, y)| {
+                x.name == y.name
+                    && x.values.len() == y.values.len()
+                    && x.values
+                        .iter()
+                        .zip(&y.values)
+                        .all(|(p, q)| p.to_bits() == q.to_bits())
+            })
+    }
+
+    #[test]
+    fn equality_ignores_the_remembered_layout() {
+        // The same two rows, named in opposite orders: equal data,
+        // different remembered layouts.
+        let mut a = TimeSeries::new();
+        let mut b = TimeSeries::new();
+        for t in [0, 10] {
+            a.push_row(t, [("x", 1.0), ("y", 2.0)]);
+            b.push_row(t, [("y", 2.0), ("x", 1.0)]);
+        }
+        assert_eq!(a.layout, [0, 1]);
+        assert_eq!(b.layout, [1, 0]);
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn layout_follows_the_latest_row() {
+        let mut ts = TimeSeries::new();
+        ts.push_row(0, [("x", 1.0), ("y", 2.0)]);
+        assert_eq!(ts.layout, [0, 1]);
+        ts.push_row(1, [("y", 3.0), ("x", 4.0), ("x", 5.0)]);
+        assert_eq!(ts.layout, [1, 0, 0]);
+        // "a" sorts first: it shifts x and y, and the stale guesses for
+        // positions 1 and 2 are corrected on the way.
+        ts.push_row(2, [("a", 6.0), ("x", 7.0), ("y", 8.0)]);
+        assert_eq!(ts.layout, [0, 1, 2]);
+        assert_eq!(ts.column("x").unwrap(), [1.0, 5.0, 7.0]);
+        assert_eq!(ts.column("y").unwrap(), [2.0, 3.0, 8.0]);
+    }
+
+    // The remembered layout is invisible: any row sequence — mostly
+    // repeats of the previous row, as a sampler emits, with columns
+    // added, dropped, reordered and duplicated, and with `take()`
+    // mid-run — builds bit-for-bit what the binary-search-per-value
+    // `push_row` builds.
+    proptest::proptest! {
+        #[test]
+        fn prop_remembered_layout_matches_reference_push_row(
+            ops in proptest::collection::vec((0u8..10, 0usize..12, 0usize..12, 0.0f64..100.0), 0..80),
+        ) {
+            const NAMES: [&str; 12] = [
+                "a", "b", "c", "d", "e", "f", "g", "h", "i", "j", "k", "l",
+            ];
+            let mut ts = TimeSeries::new();
+            let mut reference = TimeSeries::new();
+            let mut row: Vec<(&str, f64)> = Vec::new();
+            let mut tick = 0u64;
+            for (op, x, y, v) in ops {
+                match op {
+                    // Drop one column from the row.
+                    4 if !row.is_empty() => {
+                        row.remove(x % row.len());
+                    }
+                    // Add a column (possibly new to the series).
+                    5 => row.insert(x % (row.len() + 1), (NAMES[y], v)),
+                    // Reorder: swap two positions.
+                    6 if !row.is_empty() => {
+                        let n = row.len();
+                        row.swap(x % n, y % n);
+                    }
+                    // Duplicate a name within the row.
+                    7 if !row.is_empty() => {
+                        let dup = (row[x % row.len()].0, v);
+                        row.insert(y % (row.len() + 1), dup);
+                    }
+                    8 => {
+                        let taken = ts.take();
+                        let taken_ref = reference.take();
+                        proptest::prop_assert!(same_bits(&taken, &taken_ref));
+                        tick = 0;
+                        continue;
+                    }
+                    // A fresh row in a new order.
+                    9 => {
+                        row = (0..x % 6).map(|i| (NAMES[(y + 5 * i) % 12], v + i as f64)).collect();
+                    }
+                    // Repeat the row with new values.
+                    _ => {
+                        for (i, entry) in row.iter_mut().enumerate() {
+                            entry.1 = v + i as f64;
+                        }
+                    }
+                }
+                ts.push_row(tick, row.iter().copied());
+                reference_push_row(&mut reference, tick, &row);
+                tick += 1;
+                proptest::prop_assert!(same_bits(&ts, &reference));
+                proptest::prop_assert!(ts.is_rectangular());
             }
         }
     }

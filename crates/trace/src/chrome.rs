@@ -28,26 +28,26 @@ pub struct ChromeGroup {
 
 fn base_event(name: &str, cat: &str, ph: &str, ts: u64, pid: u64, tid: u64) -> JsonValue {
     let mut doc = JsonValue::obj();
-    doc.push("name", JsonValue::Str(name.into()));
-    doc.push("cat", JsonValue::Str(cat.into()));
-    doc.push("ph", JsonValue::Str(ph.into()));
-    doc.push("ts", JsonValue::Num(ts as f64));
-    doc.push("pid", JsonValue::Num(pid as f64));
-    doc.push("tid", JsonValue::Num(tid as f64));
+    doc.push_static("name", JsonValue::Str(name.into()));
+    doc.push_static("cat", JsonValue::Str(cat.into()));
+    doc.push_static("ph", JsonValue::Str(ph.into()));
+    doc.push_static("ts", JsonValue::Num(ts as f64));
+    doc.push_static("pid", JsonValue::Num(pid as f64));
+    doc.push_static("tid", JsonValue::Num(tid as f64));
     doc
 }
 
 fn metadata(name: &str, pid: u64, tid: Option<u64>, label: &str) -> JsonValue {
     let mut doc = JsonValue::obj();
-    doc.push("name", JsonValue::Str(name.into()));
-    doc.push("ph", JsonValue::Str("M".into()));
-    doc.push("pid", JsonValue::Num(pid as f64));
+    doc.push_static("name", JsonValue::Str(name.into()));
+    doc.push_static("ph", JsonValue::Str("M".into()));
+    doc.push_static("pid", JsonValue::Num(pid as f64));
     if let Some(tid) = tid {
-        doc.push("tid", JsonValue::Num(tid as f64));
+        doc.push_static("tid", JsonValue::Num(tid as f64));
     }
     let mut args = JsonValue::obj();
-    args.push("name", JsonValue::Str(label.into()));
-    doc.push("args", args);
+    args.push_static("name", JsonValue::Str(label.into()));
+    doc.push_static("args", args);
     doc
 }
 
@@ -156,20 +156,20 @@ pub fn chrome_trace(groups: &[ChromeGroup]) -> JsonValue {
     }
 
     let mut doc = JsonValue::obj();
-    doc.push("traceEvents", JsonValue::Arr(out));
-    doc.push("displayTimeUnit", JsonValue::Str("ms".into()));
+    doc.push_static("traceEvents", JsonValue::Arr(out));
+    doc.push_static("displayTimeUnit", JsonValue::Str("ms".into()));
     doc
 }
 
 fn instant(event: &TraceEvent, ts: u64, pid: u64, tid: u64, cat: &str) -> JsonValue {
     let mut doc = base_event(event.kind.name(), cat, "i", ts, pid, tid);
-    doc.push("s", JsonValue::Str("t".into()));
+    doc.push_static("s", JsonValue::Str("t".into()));
     let mut args = JsonValue::obj();
     if let Some(req) = event.request {
-        args.push("req", JsonValue::Num(req as f64));
+        args.push_static("req", JsonValue::Num(req as f64));
     }
     event.kind.push_payload(&mut args);
-    doc.push("args", args);
+    doc.push_static("args", args);
     doc
 }
 

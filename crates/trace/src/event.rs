@@ -8,7 +8,7 @@
 //! wall-clock time — that is the core determinism rule (wall-clock
 //! lives only in `.timing.json` files, which are never byte-compared).
 
-use crate::json::JsonValue;
+use crate::json::{CompactObject, Fields, JsonValue};
 use faasmem_sim::SimTime;
 
 /// The subsystem an event originates from. Used for `--trace-filter`.
@@ -469,12 +469,12 @@ impl EventKind {
         }
     }
 
-    /// Appends the payload fields, in declaration order, to a JSON
-    /// object. Payload keys come after the envelope keys so every line
-    /// shares a stable prefix.
-    pub fn push_payload(&self, doc: &mut JsonValue) {
+    /// Writes the payload fields, in declaration order, to `f`. This is
+    /// the one per-kind field list: the JSON tree
+    /// ([`push_payload`](Self::push_payload)) and the direct JSONL
+    /// writer ([`TraceEvent::write_jsonl`]) both go through it.
+    pub fn write_payload<F: Fields>(&self, f: &mut F) {
         use EventKind::*;
-        let num = |v: u64| JsonValue::Num(v as f64);
         match self {
             CellStart {
                 trace,
@@ -483,62 +483,62 @@ impl EventKind {
                 policy,
                 seed,
             } => {
-                doc.push("trace", JsonValue::Str(trace.clone()));
-                doc.push("bench", JsonValue::Str(bench.clone()));
-                doc.push("config", JsonValue::Str(config.clone()));
-                doc.push("policy", JsonValue::Str(policy.clone()));
-                doc.push("seed", num(*seed));
+                f.str("trace", trace);
+                f.str("bench", bench);
+                f.str("config", config);
+                f.str("policy", policy);
+                f.u64("seed", *seed);
             }
             CellEnd { requests, sim_secs } => {
-                doc.push("requests", num(*requests));
-                doc.push("sim_secs", JsonValue::Num(*sim_secs));
+                f.u64("requests", *requests);
+                f.f64("sim_secs", *sim_secs);
             }
             RequestArrive { function } | ContainerLaunch { function } => {
-                doc.push("function", num(u64::from(*function)));
+                f.u64("function", u64::from(*function));
             }
             RuntimeLoaded | InitDone | KeepAliveEnter | ContainerCrash | OffloadRefused
             | BreakerOpen | BreakerClose => {}
             ExecStart { cold } => {
-                doc.push("cold", JsonValue::Bool(*cold));
+                f.bool("cold", *cold);
             }
             ExecStall { cause, us } => {
-                doc.push("cause", JsonValue::Str(cause.name().into()));
-                doc.push("us", num(*us));
+                f.str("cause", cause.name());
+                f.u64("us", *us);
             }
             ExecEnd { latency_us, faults } => {
-                doc.push("latency_us", num(*latency_us));
-                doc.push("faults", num(*faults));
+                f.u64("latency_us", *latency_us);
+                f.u64("faults", *faults);
             }
             ContainerRetire { requests } => {
-                doc.push("requests", num(*requests));
+                f.u64("requests", *requests);
             }
             NodeLoss {
                 victims,
                 lost_bytes,
             } => {
-                doc.push("victims", num(*victims));
-                doc.push("lost_bytes", num(*lost_bytes));
+                f.u64("victims", *victims);
+                f.u64("lost_bytes", *lost_bytes);
             }
             AccessScan { live, accessed } => {
-                doc.push("live", num(*live));
-                doc.push("accessed", num(*accessed));
+                f.u64("live", *live);
+                f.u64("accessed", *accessed);
             }
             GenerationCreate { generation } => {
-                doc.push("generation", num(*generation));
+                f.u64("generation", *generation);
             }
             GenerationAge {
                 threshold,
                 collected,
             } => {
-                doc.push("threshold", num(*threshold));
-                doc.push("collected", num(*collected));
+                f.u64("threshold", *threshold);
+                f.u64("collected", *collected);
             }
             MemOffload { pages } => {
-                doc.push("pages", num(*pages));
+                f.u64("pages", *pages);
             }
             MemPageIn { pages, demand } => {
-                doc.push("pages", num(*pages));
-                doc.push("demand", JsonValue::Bool(*demand));
+                f.u64("pages", *pages);
+                f.bool("demand", *demand);
             }
             PoolPageOut {
                 bytes,
@@ -550,76 +550,83 @@ impl EventKind {
                 stall_us,
                 queued_us,
             } => {
-                doc.push("bytes", num(*bytes));
-                doc.push("stall_us", num(*stall_us));
-                doc.push("queued_us", num(*queued_us));
+                f.u64("bytes", *bytes);
+                f.u64("stall_us", *stall_us);
+                f.u64("queued_us", *queued_us);
             }
             PoolDiscard { bytes } | RecallBegin { bytes } => {
-                doc.push("bytes", num(*bytes));
+                f.u64("bytes", *bytes);
             }
             RecallRetry { attempt, waited_us } => {
-                doc.push("attempt", num(*attempt));
-                doc.push("waited_us", num(*waited_us));
+                f.u64("attempt", *attempt);
+                f.u64("waited_us", *waited_us);
             }
             RecallGaveUp { retries, wasted_us } => {
-                doc.push("retries", num(*retries));
-                doc.push("wasted_us", num(*wasted_us));
+                f.u64("retries", *retries);
+                f.u64("wasted_us", *wasted_us);
             }
             FaultWindow {
                 start_us,
                 end_us,
                 factor,
             } => {
-                doc.push("start_us", num(*start_us));
-                doc.push("end_us", num(*end_us));
-                doc.push("factor", JsonValue::Num(*factor));
+                f.u64("start_us", *start_us);
+                f.u64("end_us", *end_us);
+                f.f64("factor", *factor);
             }
             RecallAbandoned {
                 pages,
                 wasted_us,
                 rebuild_us,
             } => {
-                doc.push("pages", num(*pages));
-                doc.push("wasted_us", num(*wasted_us));
-                doc.push("rebuild_us", num(*rebuild_us));
+                f.u64("pages", *pages);
+                f.u64("wasted_us", *wasted_us);
+                f.u64("rebuild_us", *rebuild_us);
             }
             ReplicaRecall {
                 node,
                 bytes,
                 reconstruct_us,
             } => {
-                doc.push("node", num(*node));
-                doc.push("bytes", num(*bytes));
-                doc.push("reconstruct_us", num(*reconstruct_us));
+                f.u64("node", *node);
+                f.u64("bytes", *bytes);
+                f.u64("reconstruct_us", *reconstruct_us);
             }
             RepairStart {
                 node,
                 bytes,
                 backlog_bytes,
             } => {
-                doc.push("node", num(*node));
-                doc.push("bytes", num(*bytes));
-                doc.push("backlog_bytes", num(*backlog_bytes));
+                f.u64("node", *node);
+                f.u64("bytes", *bytes);
+                f.u64("backlog_bytes", *backlog_bytes);
             }
             RepairDone {
                 node,
                 bytes,
                 mttr_us,
             } => {
-                doc.push("node", num(*node));
-                doc.push("bytes", num(*bytes));
-                doc.push("mttr_us", num(*mttr_us));
+                f.u64("node", *node);
+                f.u64("bytes", *bytes);
+                f.u64("mttr_us", *mttr_us);
             }
             PoolNodeDown {
                 node,
                 lost_segments,
                 degraded_segments,
             } => {
-                doc.push("node", num(*node));
-                doc.push("lost_segments", num(*lost_segments));
-                doc.push("degraded_segments", num(*degraded_segments));
+                f.u64("node", *node);
+                f.u64("lost_segments", *lost_segments);
+                f.u64("degraded_segments", *degraded_segments);
             }
         }
+    }
+
+    /// Appends the payload fields, in declaration order, to a JSON
+    /// object. Payload keys come after the envelope keys so every line
+    /// shares a stable prefix.
+    pub fn push_payload(&self, doc: &mut JsonValue) {
+        self.write_payload(doc);
     }
 }
 
@@ -646,31 +653,50 @@ impl TraceEvent {
         (self.time.as_micros(), self.seq)
     }
 
+    /// Writes the event's members to `f`: the envelope in fixed order
+    /// (`cell`, `t`, `seq`, `layer`, `kind`, then `ctr` and `req` when
+    /// present), followed by the payload.
+    fn write_fields<F: Fields>(&self, cell: Option<u64>, f: &mut F) {
+        if let Some(cell) = cell {
+            f.u64("cell", cell);
+        }
+        f.u64("t", self.time.as_micros());
+        f.u64("seq", self.seq);
+        f.str("layer", self.kind.layer().name());
+        f.str("kind", self.kind.name());
+        if let Some(ctr) = self.container {
+            f.u64("ctr", ctr);
+        }
+        if let Some(req) = self.request {
+            f.u64("req", req);
+        }
+        self.kind.write_payload(f);
+    }
+
     /// Renders the event as one JSONL object. Envelope keys come first
     /// in fixed order (`cell`, `t`, `seq`, `layer`, `kind`, then `ctr`
     /// and `req` when present), followed by the payload.
     pub fn to_json(&self, cell: Option<u64>) -> JsonValue {
         let mut doc = JsonValue::obj();
-        if let Some(cell) = cell {
-            doc.push("cell", JsonValue::Num(cell as f64));
-        }
-        doc.push("t", JsonValue::Num(self.time.as_micros() as f64));
-        doc.push("seq", JsonValue::Num(self.seq as f64));
-        doc.push("layer", JsonValue::Str(self.kind.layer().name().into()));
-        doc.push("kind", JsonValue::Str(self.kind.name().into()));
-        if let Some(ctr) = self.container {
-            doc.push("ctr", JsonValue::Num(ctr as f64));
-        }
-        if let Some(req) = self.request {
-            doc.push("req", JsonValue::Num(req as f64));
-        }
-        self.kind.push_payload(&mut doc);
+        self.write_fields(cell, &mut doc);
         doc
+    }
+
+    /// Appends the event as one compact JSONL line (no trailing
+    /// newline) to `out`, with no JSON tree in between. The bytes equal
+    /// `self.to_json(cell).to_compact()`.
+    pub fn write_jsonl(&self, cell: Option<u64>, out: &mut String) {
+        let mut obj = CompactObject::open(out);
+        self.write_fields(cell, &mut obj);
+        obj.close();
     }
 
     /// The event as one compact JSONL line (no trailing newline).
     pub fn jsonl_line(&self, cell: Option<u64>) -> String {
-        self.to_json(cell).to_compact()
+        // Most lines fit, so the line is usually allocated once.
+        let mut line = String::with_capacity(128);
+        self.write_jsonl(cell, &mut line);
+        line
     }
 }
 
@@ -745,109 +771,210 @@ mod tests {
         );
     }
 
-    #[test]
-    fn every_kind_reports_a_consistent_layer() {
+    /// One event of every kind, its integer fields set to `n`, its
+    /// float fields to `x` and its strings to `s`.
+    fn one_of_each(n: u64, x: f64, s: &str) -> Vec<EventKind> {
         use EventKind::*;
-        let kinds: Vec<EventKind> = vec![
+        let kinds = vec![
             CellStart {
-                trace: "t".into(),
-                bench: "b".into(),
-                config: "c".into(),
-                policy: "p".into(),
-                seed: 1,
+                trace: s.into(),
+                bench: format!("{s}/b"),
+                config: String::new(),
+                policy: s.chars().rev().collect(),
+                seed: n,
             },
             CellEnd {
-                requests: 1,
-                sim_secs: 1.0,
+                requests: n,
+                sim_secs: x,
             },
-            RequestArrive { function: 0 },
-            ContainerLaunch { function: 0 },
+            RequestArrive { function: n as u32 },
+            ContainerLaunch {
+                function: (n >> 32) as u32,
+            },
             RuntimeLoaded,
             InitDone,
-            ExecStart { cold: true },
+            ExecStart {
+                cold: n.is_multiple_of(2),
+            },
             ExecStall {
-                cause: StallCause::RecallStall,
-                us: 250,
+                cause: StallCause::ALL[n as usize % StallCause::ALL.len()],
+                us: n,
             },
             ExecEnd {
-                latency_us: 1,
-                faults: 0,
+                latency_us: n,
+                faults: n / 3,
             },
             KeepAliveEnter,
-            ContainerRetire { requests: 1 },
+            ContainerRetire { requests: n },
             ContainerCrash,
             NodeLoss {
-                victims: 1,
-                lost_bytes: 4096,
+                victims: n,
+                lost_bytes: n / 7,
             },
             AccessScan {
-                live: 1,
-                accessed: 1,
+                live: n,
+                accessed: n / 2,
             },
-            GenerationCreate { generation: 2 },
+            GenerationCreate { generation: n },
             GenerationAge {
-                threshold: 1,
-                collected: 3,
+                threshold: n,
+                collected: n / 5,
             },
-            MemOffload { pages: 4 },
+            MemOffload { pages: n },
             MemPageIn {
-                pages: 2,
-                demand: true,
+                pages: n,
+                demand: !n.is_multiple_of(2),
             },
             PoolPageOut {
-                bytes: 4096,
-                stall_us: 10,
-                queued_us: 0,
+                bytes: n,
+                stall_us: n / 11,
+                queued_us: n / 13,
             },
             PoolPageIn {
-                bytes: 4096,
-                stall_us: 10,
-                queued_us: 5,
+                bytes: n,
+                stall_us: n / 13,
+                queued_us: n / 11,
             },
-            PoolDiscard { bytes: 4096 },
-            RecallBegin { bytes: 4096 },
+            PoolDiscard { bytes: n },
+            RecallBegin { bytes: n },
             OffloadRefused,
             RecallRetry {
-                attempt: 1,
-                waited_us: 100,
+                attempt: n,
+                waited_us: n / 3,
             },
             RecallGaveUp {
-                retries: 3,
-                wasted_us: 300,
+                retries: n,
+                wasted_us: n / 3,
             },
             BreakerOpen,
             BreakerClose,
             FaultWindow {
-                start_us: 0,
-                end_us: 100,
-                factor: 0.5,
+                start_us: n / 2,
+                end_us: n,
+                factor: x,
             },
             RecallAbandoned {
-                pages: 8,
-                wasted_us: 300,
-                rebuild_us: 5_000,
+                pages: n,
+                wasted_us: n / 3,
+                rebuild_us: n / 9,
             },
             ReplicaRecall {
-                node: 1,
-                bytes: 4096,
-                reconstruct_us: 500,
+                node: n,
+                bytes: n / 2,
+                reconstruct_us: n / 4,
             },
             RepairStart {
-                node: 2,
-                bytes: 4096,
-                backlog_bytes: 8192,
+                node: n,
+                bytes: n / 2,
+                backlog_bytes: n / 4,
             },
             RepairDone {
-                node: 2,
-                bytes: 4096,
-                mttr_us: 1_000_000,
+                node: n,
+                bytes: n / 2,
+                mttr_us: n / 4,
             },
             PoolNodeDown {
-                node: 0,
-                lost_segments: 1,
-                degraded_segments: 2,
+                node: n,
+                lost_segments: n / 2,
+                degraded_segments: n / 4,
             },
         ];
+        // Fails to compile when a kind is added, until it is listed
+        // above and here.
+        let ordinal = |kind: &EventKind| match kind {
+            CellStart { .. } => 0,
+            CellEnd { .. } => 1,
+            RequestArrive { .. } => 2,
+            ContainerLaunch { .. } => 3,
+            RuntimeLoaded => 4,
+            InitDone => 5,
+            ExecStart { .. } => 6,
+            ExecStall { .. } => 7,
+            ExecEnd { .. } => 8,
+            KeepAliveEnter => 9,
+            ContainerRetire { .. } => 10,
+            ContainerCrash => 11,
+            NodeLoss { .. } => 12,
+            AccessScan { .. } => 13,
+            GenerationCreate { .. } => 14,
+            GenerationAge { .. } => 15,
+            MemOffload { .. } => 16,
+            MemPageIn { .. } => 17,
+            PoolPageOut { .. } => 18,
+            PoolPageIn { .. } => 19,
+            PoolDiscard { .. } => 20,
+            RecallBegin { .. } => 21,
+            OffloadRefused => 22,
+            RecallRetry { .. } => 23,
+            RecallGaveUp { .. } => 24,
+            BreakerOpen => 25,
+            BreakerClose => 26,
+            FaultWindow { .. } => 27,
+            RecallAbandoned { .. } => 28,
+            ReplicaRecall { .. } => 29,
+            RepairStart { .. } => 30,
+            RepairDone { .. } => 31,
+            PoolNodeDown { .. } => 32,
+        };
+        assert!(kinds.iter().map(ordinal).eq(0..kinds.len()));
+        kinds
+    }
+
+    #[test]
+    fn direct_jsonl_matches_the_tree_for_every_kind() {
+        let ints = [
+            0,
+            7,
+            4500,
+            999_999_999_999_999,
+            1_000_000_000_000_000,
+            1 << 53,
+            (1 << 53) + 1,
+            u64::MAX,
+        ];
+        let floats = [
+            0.0,
+            -0.0,
+            1.0,
+            0.5,
+            1.0 / 3.0,
+            -2.5e-7,
+            1e15,
+            1e21,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        let strings = ["bert", "", "a\"b\\c\nd\te\r\u{1}\u{1f}", "ünï—cødé"];
+        let mut out = String::new();
+        for (i, &n) in ints.iter().enumerate() {
+            for (j, &x) in floats.iter().enumerate() {
+                let s = strings[(i + j) % strings.len()];
+                for kind in one_of_each(n, x, s) {
+                    let event = TraceEvent {
+                        time: SimTime::from_micros(n / 1_000_000),
+                        seq: n,
+                        container: (!j.is_multiple_of(3)).then_some(n / 2),
+                        request: j.is_multiple_of(2).then_some(n / 3),
+                        kind,
+                    };
+                    for cell in [None, Some(0), Some(n)] {
+                        let tree = event.to_json(cell).to_compact();
+                        assert_eq!(event.jsonl_line(cell), tree);
+                        // Appending keeps what the buffer already holds.
+                        out.clear();
+                        out.push_str("{}\n");
+                        event.write_jsonl(cell, &mut out);
+                        assert_eq!(out[3..], tree);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_kind_reports_a_consistent_layer() {
+        let kinds = one_of_each(1, 1.0, "t");
         for kind in &kinds {
             // Every kind serializes without panicking and its name is
             // non-empty; layer() must be stable with the JSONL field.

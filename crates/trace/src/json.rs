@@ -13,6 +13,7 @@
 //! funnel through it, so they share one key-ordering and one
 //! float-formatting rule. `bench::json` re-exports it.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// A JSON document node. Object members keep insertion order so the
@@ -29,8 +30,10 @@ pub enum JsonValue {
     Str(String),
     /// An array.
     Arr(Vec<JsonValue>),
-    /// An object with insertion-ordered members.
-    Obj(Vec<(String, JsonValue)>),
+    /// An object with insertion-ordered members. Keys known at compile
+    /// time are borrowed, so fixed-shape documents allocate no key
+    /// strings.
+    Obj(Vec<(Cow<'static, str>, JsonValue)>),
 }
 
 impl JsonValue {
@@ -41,8 +44,18 @@ impl JsonValue {
 
     /// Appends a member to an object; panics on non-objects.
     pub fn push(&mut self, key: &str, value: JsonValue) -> &mut Self {
+        self.push_member(Cow::Owned(key.to_string()), value)
+    }
+
+    /// [`push`](Self::push) for a key known at compile time: the key is
+    /// borrowed, not copied.
+    pub fn push_static(&mut self, key: &'static str, value: JsonValue) -> &mut Self {
+        self.push_member(Cow::Borrowed(key), value)
+    }
+
+    fn push_member(&mut self, key: Cow<'static, str>, value: JsonValue) -> &mut Self {
         match self {
-            JsonValue::Obj(members) => members.push((key.to_string(), value)),
+            JsonValue::Obj(members) => members.push((key, value)),
             _ => panic!("push on non-object JSON value"),
         }
         self
@@ -177,21 +190,147 @@ fn push_indent(out: &mut String, indent: usize) {
     }
 }
 
+/// A sink for one object's members, in order. [`JsonValue`] builds the
+/// tree form; [`CompactObject`] writes the compact bytes directly. Both
+/// print a member identically, so a field list written once against
+/// this trait (e.g. [`EventKind::write_payload`]) yields the same bytes
+/// through either.
+///
+/// [`EventKind::write_payload`]: crate::EventKind::write_payload
+pub trait Fields {
+    /// An unsigned integer member. Printed as the f64 it converts to,
+    /// exactly like `JsonValue::Num(v as f64)`.
+    fn u64(&mut self, key: &'static str, v: u64);
+    /// A number member (non-finite values print as `null`).
+    fn f64(&mut self, key: &'static str, v: f64);
+    /// A boolean member.
+    fn bool(&mut self, key: &'static str, v: bool);
+    /// A string member.
+    fn str(&mut self, key: &'static str, v: &str);
+}
+
+impl Fields for JsonValue {
+    fn u64(&mut self, key: &'static str, v: u64) {
+        self.push_static(key, JsonValue::Num(v as f64));
+    }
+
+    fn f64(&mut self, key: &'static str, v: f64) {
+        self.push_static(key, JsonValue::Num(v));
+    }
+
+    fn bool(&mut self, key: &'static str, v: bool) {
+        self.push_static(key, JsonValue::Bool(v));
+    }
+
+    fn str(&mut self, key: &'static str, v: &str) {
+        self.push_static(key, JsonValue::Str(v.to_string()));
+    }
+}
+
+/// A compact JSON object written member by member straight into a
+/// `String`, with no tree in between. Its bytes equal
+/// [`JsonValue::to_compact`] of the object the same members would
+/// build: the same separators and the same number and string rules.
+pub struct CompactObject<'a> {
+    out: &'a mut String,
+    empty: bool,
+}
+
+impl<'a> CompactObject<'a> {
+    /// Opens an object at the end of `out`.
+    pub fn open(out: &'a mut String) -> CompactObject<'a> {
+        out.push('{');
+        CompactObject { out, empty: true }
+    }
+
+    /// Closes the object.
+    pub fn close(self) {
+        self.out.push('}');
+    }
+
+    fn key(&mut self, key: &str) -> &mut String {
+        if !self.empty {
+            self.out.push(',');
+        }
+        self.empty = false;
+        write_str(self.out, key);
+        self.out.push(':');
+        self.out
+    }
+}
+
+impl Fields for CompactObject<'_> {
+    fn u64(&mut self, key: &'static str, v: u64) {
+        let out = self.key(key);
+        if v < INTEGRAL_LIMIT as u64 {
+            // Exact as an f64, so `write_num` would print these digits.
+            write_int(out, v as i64);
+        } else {
+            write_num(out, v as f64);
+        }
+    }
+
+    fn f64(&mut self, key: &'static str, v: f64) {
+        write_num(self.key(key), v);
+    }
+
+    fn bool(&mut self, key: &'static str, v: bool) {
+        self.key(key).push_str(if v { "true" } else { "false" });
+    }
+
+    fn str(&mut self, key: &'static str, v: &str) {
+        write_str(self.key(key), v);
+    }
+}
+
+/// Integral numbers below this magnitude print as plain integers;
+/// larger ones take Rust's f64 `Display`.
+const INTEGRAL_LIMIT: f64 = 1e15;
+
 fn write_num(out: &mut String, n: f64) {
     if !n.is_finite() {
         out.push_str("null");
-    } else if n == n.trunc() && n.abs() < 1e15 {
-        // Integral values print without the ".0" Rust's Display keeps off
-        // anyway, but go through i64/u-range to avoid "-0".
-        let _ = write!(out, "{}", n as i64);
+    } else if n == n.trunc() && n.abs() < INTEGRAL_LIMIT {
+        // Integral values print without a fraction, through i64 so
+        // that -0.0 prints as "0".
+        write_int(out, n as i64);
     } else {
         let _ = write!(out, "{n}");
     }
 }
 
+/// Prints `v` in decimal: the bytes of `format!("{v}")` without the
+/// formatting machinery.
+fn write_int(out: &mut String, v: i64) {
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    let mut rest = v.unsigned_abs();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    if v < 0 {
+        at -= 1;
+        buf[at] = b'-';
+    }
+    out.push_str(std::str::from_utf8(&buf[at..]).expect("ASCII digits"));
+}
+
 fn write_str(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
+    // Copy the run that needs no escaping in one go; only a string
+    // with a quote, backslash or control character takes the
+    // per-character path from there on.
+    let plain = s
+        .bytes()
+        .position(|b| b < 0x20 || b == b'"' || b == b'\\')
+        .unwrap_or(s.len());
+    out.push_str(&s[..plain]);
+    for c in s[plain..].chars() {
         match c {
             '"' => out.push_str("\\\""),
             '\\' => out.push_str("\\\\"),
@@ -307,7 +446,7 @@ impl<'a> Parser<'a> {
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            members.push((key, self.value()?));
+            members.push((Cow::Owned(key), self.value()?));
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -449,6 +588,96 @@ mod tests {
         out.push(' ');
         write_num(&mut out, -0.0);
         assert_eq!(out, "42 0");
+    }
+
+    #[test]
+    fn integral_fast_path_matches_i64_display() {
+        let mut cases = vec![0.0, -0.0, 1.0, -1.0, 9.0, 10.0, 1e15 - 1.0, -(1e15 - 1.0)];
+        let mut p = 1.0;
+        for _ in 0..15 {
+            cases.extend([p, -p, p - 1.0, -(p - 1.0), p + 1.0, -(p + 1.0)]);
+            p *= 10.0;
+        }
+        // A spread of 15-digit values with every digit in play.
+        let mut x = 123_456_789_012_345.0f64;
+        for _ in 0..50 {
+            cases.extend([x, -x]);
+            x = (x * 0.731).trunc();
+        }
+        for n in cases {
+            assert!(n == n.trunc() && n.abs() < 1e15, "{n} is off the fast path");
+            let mut out = String::new();
+            write_num(&mut out, n);
+            assert_eq!(out, format!("{}", n as i64), "write_num({n:?})");
+        }
+    }
+
+    #[test]
+    fn string_escapes_are_pinned() {
+        for (text, written) in [
+            ("plain é—", "\"plain é—\""),
+            (
+                "ok \"q\" \\ \n\r\t\u{1}\u{1f} é—",
+                "\"ok \\\"q\\\" \\\\ \\n\\r\\t\\u0001\\u001f é—\"",
+            ),
+            ("é\u{1f}", "\"é\\u001f\""),
+            ("\u{0}", "\"\\u0000\""),
+            ("x\\", "\"x\\\\\""),
+            ("", "\"\""),
+        ] {
+            let mut out = String::new();
+            write_str(&mut out, text);
+            assert_eq!(out, written, "{text:?}");
+        }
+    }
+
+    #[test]
+    fn compact_object_matches_the_tree() {
+        let strings = [
+            "",
+            "plain",
+            "quo\"te \\ back\nnl\r\ttab\u{1}\u{1f}",
+            "ünï—cødé",
+            "\\",
+        ];
+        let numbers = [
+            0.0,
+            -0.0,
+            0.5,
+            1.0 / 3.0,
+            1e15,
+            1e21,
+            -2.5e-7,
+            f64::NAN,
+            f64::INFINITY,
+        ];
+        let ints = [
+            0,
+            1,
+            999_999_999_999_999,
+            1_000_000_000_000_000,
+            1 << 53,
+            (1 << 53) + 1,
+            u64::MAX,
+        ];
+        for (i, s) in strings.iter().enumerate() {
+            let mut tree = JsonValue::obj();
+            let mut out = String::from("prefix ");
+            let mut direct = CompactObject::open(&mut out);
+            for f in [&mut tree as &mut dyn Fields, &mut direct] {
+                f.str("s", s);
+                f.f64("x", numbers[i]);
+                f.u64("n", ints[i]);
+                f.bool("b", i.is_multiple_of(2));
+                f.f64("y", numbers[numbers.len() - 1 - i]);
+                f.u64("m", ints[ints.len() - 1 - i]);
+            }
+            direct.close();
+            assert_eq!(out, format!("prefix {}", tree.to_compact()));
+        }
+        let mut out = String::new();
+        CompactObject::open(&mut out).close();
+        assert_eq!(out, JsonValue::obj().to_compact());
     }
 
     #[test]

@@ -116,12 +116,18 @@ impl TraceSink for RingSink {
 pub struct JsonlSink<W: Write> {
     cell: Option<u64>,
     writer: W,
+    /// One line's bytes, reused for every event.
+    line: String,
 }
 
 impl<W: Write> JsonlSink<W> {
     /// A streaming sink tagging each line with `cell` (when given).
     pub fn new(cell: Option<u64>, writer: W) -> JsonlSink<W> {
-        JsonlSink { cell, writer }
+        JsonlSink {
+            cell,
+            writer,
+            line: String::new(),
+        }
     }
 
     /// Flushes and returns the underlying writer.
@@ -133,8 +139,10 @@ impl<W: Write> JsonlSink<W> {
 
 impl<W: Write> TraceSink for JsonlSink<W> {
     fn record(&mut self, event: TraceEvent) {
-        let line = event.jsonl_line(self.cell);
-        let _ = writeln!(self.writer, "{line}");
+        self.line.clear();
+        event.write_jsonl(self.cell, &mut self.line);
+        self.line.push('\n');
+        let _ = self.writer.write_all(self.line.as_bytes());
     }
 }
 
